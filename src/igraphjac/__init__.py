@@ -4,9 +4,6 @@ from .bigmat import (
     IntMatrix,
     SmithForm,
     determinant,
-    mat_mul,
-    mat_pow,
-    mat_sub,
     smith_normal_form,
 )
 from .errors import (
@@ -18,7 +15,6 @@ from .errors import (
     InvalidParams,
     LoopError,
     NotASquare,
-    NotBimonic,
     PrecisionExhausted,
     QuadratureFailure,
     ZeroPolynomial,
@@ -35,13 +31,11 @@ from .jacobian import (
 from .polyring import (
     IntLaurentPoly,
     IntPoly,
-    all_ones_poly,
     chebyshev_quotient,
     chebyshev_t,
     chebyshev_t_poly,
     chebyshev_u,
-    companion_matrix,
-    resultant,
+    presentation_matrix,
     spectral_poly,
 )
 from .treecount import (

@@ -1,14 +1,15 @@
 """Dense exact linear algebra over the integers.
 
-Everything here works on arbitrary-precision Python ints: multiplication,
-powering, fraction-free determinants (Bareiss) and Smith normal form via
-elimination with smallest-pivot selection.  No floating point, no modular
-shortcuts.
+Everything here works on arbitrary-precision Python ints: fraction-free
+determinants (Bareiss) and the Smith normal form by elimination with
+smallest-pivot selection, over Z or modulo a known multiple of the torsion
+order.  No floating point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
 from .errors import DimensionMismatch
 
@@ -84,51 +85,6 @@ class SmithForm:
                 raise ValueError("invariant factors must form a divisibility chain")
 
 
-def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    """Exact matrix product."""
-    if a.cols != b.rows:
-        raise DimensionMismatch(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
-    bd = b._data
-    ncols = b.cols
-    out = []
-    for arow in a._data:
-        acc = [0] * ncols
-        for t, left in enumerate(arow):
-            if left:
-                brow = bd[t]
-                for j in range(ncols):
-                    v = brow[j]
-                    if v:
-                        acc[j] += left * v
-        out.append(acc)
-    return IntMatrix(out)
-
-
-def mat_sub(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    if a.rows != b.rows or a.cols != b.cols:
-        raise DimensionMismatch("shape mismatch in subtraction")
-    return IntMatrix(
-        [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a._data, b._data)]
-    )
-
-
-def mat_pow(m: IntMatrix, e: int) -> IntMatrix:
-    """m**e by repeated squaring, e >= 0."""
-    if m.rows != m.cols:
-        raise DimensionMismatch("only square matrices can be powered")
-    if e < 0:
-        raise ValueError("exponent must be nonnegative")
-    result = IntMatrix.identity(m.rows)
-    base = m
-    while e:
-        if e & 1:
-            result = mat_mul(result, base)
-        e >>= 1
-        if e:
-            base = mat_mul(base, base)
-    return result
-
-
 def determinant(m: IntMatrix) -> int:
     """Exact determinant via Bareiss fraction-free elimination."""
     if m.rows != m.cols:
@@ -188,80 +144,125 @@ def _move_smallest_pivot(a, t, nr, nc) -> bool:
             row[t], row[bj] = row[bj], row[t]
     return True
 
-def _clear_cross(a, t, nr, nc) -> int:
-    """Zero out row t and column t beyond the pivot; return the final pivot (> 0)."""
+
+def _bezout(a: int, b: int) -> tuple[int, int, int]:
+    """(g, x, y) with x*a + y*b = g = gcd(a, b), for nonzero a and b."""
+    g = gcd(a, b)
+    a //= g
+    b //= g
+    if b in (1, -1):
+        return g, 0, b
+    x = pow(a, -1, abs(b))
+    return g, x, (1 - x * a) // b
+
+
+def _reduce(row, t, modulus):
+    """Replace row[t:] by its residues of least magnitude mod modulus."""
+    half = modulus >> 1
+    row[t:] = [r - modulus if (r := x % modulus) > half else r for x in row[t:]]
+
+
+def _clear_cross(a, t, nr, nc, modulus) -> int:
+    """Zero out row t and column t beyond the pivot; return the final pivot (> 0).
+
+    Where the pivot divides an entry, one multiple of the pivot row (column)
+    is subtracted.  Where it does not, the pivot shrinks strictly, so the
+    loop ends: modulo D a 2 x 2 unimodular step built from the Bezout
+    coefficients makes the gcd of the two the pivot; over Z the remainder is
+    swapped in as the pivot (a Euclid step), because Bezout coefficients
+    let entries grow without a modulus to bound them.
+    """
     while True:
-        if a[t][t] < 0:
-            a[t] = [-x for x in a[t]]
-        piv = a[t][t]
-        swapped = False
+        rt = a[t]
+        if rt[t] < 0:
+            rt[t:] = [-x for x in rt[t:]]
         for i in range(t + 1, nr):
-            v = a[i][t]
+            ri = a[i]
+            v = ri[t]
             if not v:
                 continue
-            q = v // piv
-            if q:
-                rt = a[t]
-                ri = a[i]
+            piv = rt[t]
+            q, r = divmod(v, piv)
+            if r and modulus:
+                g, x, y = _bezout(piv, v)
+                u, w = piv // g, v // g
+                pairs = list(zip(rt[t:], ri[t:]))
+                rt[t:] = [x * c + y * d for c, d in pairs]
+                ri[t:] = [u * d - w * c for c, d in pairs]
+                _reduce(rt, t, modulus)
+            else:
                 for j in range(t, nc):
                     ri[j] -= q * rt[j]
-            if a[i][t]:
-                # remainder is a smaller pivot candidate
-                a[t], a[i] = a[i], a[t]
-                swapped = True
-                break
-        if swapped:
-            continue
-        for j in range(t + 1, nc):
-            v = a[t][j]
-            if not v:
-                continue
-            q = v // piv
-            if q:
-                for i in range(t, nr):
-                    a[i][j] -= q * a[i][t]
-            if a[t][j]:
-                for i in range(t, nr):
-                    a[i][t], a[i][j] = a[i][j], a[i][t]
-                swapped = True
-                break
-        if not swapped:
-            return piv
+            if modulus:
+                _reduce(ri, t, modulus)
+            elif r:
+                a[t], a[i] = ri, rt
+                break  # restart with the remainder as pivot
+        else:
+            # column t is now zero below the pivot, so subtracting a multiple
+            # of it from another column only changes that column's row t
+            piv = rt[t]
+            for j in range(t + 1, nc):
+                v = rt[j]
+                if not v:
+                    continue
+                if v % piv == 0:
+                    rt[j] = 0
+                    continue
+                if modulus:
+                    g, x, y = _bezout(piv, v)
+                    u, w = piv // g, v // g
+                    for row in a[t:]:
+                        c, d = row[t], row[j]
+                        row[t], row[j] = x * c + y * d, u * d - w * c
+                        _reduce(row, t, modulus)
+                else:
+                    rt[j] = v % piv
+                    for row in a:
+                        row[t], row[j] = row[j], row[t]
+                break  # column t has entries below the pivot again
+            else:
+                return piv
 
 
-def smith_normal_form(m: IntMatrix) -> SmithForm:
-    """Smith normal form over Z.
+def smith_normal_form(m: IntMatrix, modulus: int = 0) -> SmithForm:
+    """Smith normal form over Z, or of [m | modulus * I] when modulus > 0.
 
-    Elimination always pivots on the smallest-magnitude nonzero entry and
-    repairs the divisibility chain by folding offending rows into the pivot
-    row, so the returned diagonal satisfies d_1 | d_2 | ... with zeros last.
+    Returns one factor per min(rows, cols): the invariant factors d_1 | d_2
+    | ... of m with zeros last or, given a modulus D, gcd(d_i, D) for each
+    (so a zero factor comes back as D).  Modulo D every entry is kept as its
+    residue of least magnitude, valid because the lattice spanned by
+    [m | D*I] always contains D*Z^rows; with D a known multiple of the
+    torsion order this bounds the entries (Hafner-McCurley modulo-determinant
+    normal forms).  Elimination pivots on the smallest-magnitude nonzero
+    entry and repairs the divisibility chain by folding offending rows into
+    the pivot row.
     """
+    if modulus < 0:
+        raise ValueError("modulus must be nonnegative")
     a = m.to_lists()
     nr, nc = m.rows, m.cols
+    if modulus:
+        for row in a:
+            _reduce(row, 0, modulus)
     size = min(nr, nc)
     diag = []
     for t in range(size):
         if not _move_smallest_pivot(a, t, nr, nc):
             break
         while True:
-            piv = _clear_cross(a, t, nr, nc)
-            if piv == 1:
+            # gcd(piv, D) divides every later residue once it divides every
+            # remaining entry, so the chain holds after reduction mod D
+            d = gcd(_clear_cross(a, t, nr, nc, modulus), modulus)
+            if d == 1:
                 break
-            bad = -1
-            for i in range(t + 1, nr):
-                row = a[i]
-                for j in range(t + 1, nc):
-                    if row[j] % piv:
-                        bad = i
-                        break
-                if bad >= 0:
-                    break
-            if bad < 0:
+            bad = next((i for i in range(t + 1, nr) if any(x % d for x in a[i][t + 1 :])), None)
+            if bad is None:
                 break
             rt = a[t]
             rb = a[bad]
             for j in range(t + 1, nc):
                 rt[j] += rb[j]
-        diag.append(piv)
-    diag.extend([0] * (size - len(diag)))
+        diag.append(d)
+    diag.extend([modulus] * (size - len(diag)))
     return SmithForm(tuple(diag))

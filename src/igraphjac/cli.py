@@ -9,7 +9,9 @@ Subcommands:
 Ranges are written a..b (inclusive).  --json switches record streams to one
 JSON object per line; big integers are serialized as decimal strings.  Exit
 codes: 0 success, 1 internal consistency failure, 2 usage error, 3 numeric
-precision failure.
+precision failure.  A range sweep gives a graph whose computation fails an
+error record and goes on; its exit code is the worst over the range, with a
+consistency failure outranking a precision failure.
 """
 
 from __future__ import annotations
@@ -59,6 +61,9 @@ EXIT_OK = 0
 EXIT_INCONSISTENT = 1
 EXIT_USAGE = 2
 EXIT_PRECISION = 3
+SEVERITY = (EXIT_OK, EXIT_PRECISION, EXIT_INCONSISTENT)  # a sweep exits with the worst
+
+PRECISION_ERRORS = (PrecisionExhausted, ConvergenceFailure, ClassificationFailure, QuadratureFailure)
 
 
 def _parse_range(text: str) -> list[int]:
@@ -92,7 +97,12 @@ def _error_record(n: int, k: int, l: int, exc: Exception) -> dict:
     return rec
 
 
-def cmd_jacobian(args) -> int:
+def _sweep(args) -> int:
+    """Call args.run(args, params) for each n of the range; return the worst status.
+
+    Degenerate parameters get a skip record, and a graph whose computation
+    fails gets an error record; either way the sweep goes on to the next n.
+    """
     status = EXIT_OK
     for n in args.n:
         try:
@@ -101,111 +111,106 @@ def cmd_jacobian(args) -> int:
             rec = _error_record(n, args.k, args.l, exc)
             _emit(rec, args.json, f"I({n},{args.k},{args.l})  skipped: {rec['detail']}")
             continue
-        method = args.method
-        if method == "auto":
-            method = "companion" if p.n > LAPLACIAN_GATE else "laplacian"
-        timings: dict[str, float] = {}
-        groups = {}
-        if method in ("companion", "both"):
-            t0 = time.perf_counter()
-            groups["companion"] = jacobian_via_companion(p)
-            timings["companion"] = round((time.perf_counter() - t0) * 1000, 3)
-        if method in ("laplacian", "both"):
-            t0 = time.perf_counter()
-            groups["laplacian"] = jacobian_via_laplacian(p, allow_large=True)
-            timings["laplacian"] = round((time.perf_counter() - t0) * 1000, 3)
-        if len(groups) == 2 and groups["companion"] != groups["laplacian"]:
-            status = EXIT_INCONSISTENT
-            rec = {
-                "params": {"n": p.n, "k": p.k, "l": p.l},
-                "error": "InternalInconsistency",
-                "detail": "companion and laplacian routes disagree",
-                "companion": [str(d) for d in groups["companion"].torsion],
-                "laplacian": [str(d) for d in groups["laplacian"].torsion],
-            }
-            _emit(rec, args.json, f"{p}  METHODS DISAGREE: {rec['companion']} vs {rec['laplacian']}")
-            continue
-        group = next(iter(groups.values()))
-        bounds = rank_bounds_report(p, group)
-        rec = {
-            "params": {"n": p.n, "k": p.k, "l": p.l},
-            "torsion": [str(d) for d in group.torsion],
-            "free_rank": group.free_rank,
-            "tau": str(group.order),
-            "checks": {"rank_lower": bounds["lower_ok"], "rank_upper": bounds["upper_ok"]},
-            "methods_used": sorted(groups),
-            "timings_ms": timings,
-        }
-        if not (bounds["lower_ok"] and bounds["upper_ok"]):
-            status = EXIT_INCONSISTENT
-        text = (
-            f"{p}  torsion={list(group.torsion)}  free_rank={group.free_rank}"
-            f"  tau={group.order}  rank={group.rank} in [2,{bounds['upper']}]"
-        )
-        _emit(rec, args.json, text)
-    return status
-
-
-def cmd_trees(args) -> int:
-    status = EXIT_OK
-    for n in args.n:
         try:
-            p = normalize(n, args.k, args.l)
-        except (DisconnectedError, LoopError, InvalidParams) as exc:
-            rec = _error_record(n, args.k, args.l, exc)
-            _emit(rec, args.json, f"I({n},{args.k},{args.l})  skipped: {rec['detail']}")
-            continue
-        method = args.method
-        if method == "auto":
-            method = "resultant" if p.n > LAPLACIAN_GATE else "kirchhoff"
-        timings: dict[str, float] = {}
-        counts = {}
-        wanted = (
-            [m.value for m in TreeCountMethod] if method == "all" else [method]
-        )
-        for name in wanted:
-            t0 = time.perf_counter()
-            if name == "kirchhoff":
-                counts[name] = tree_count_kirchhoff(p)
-            elif name == "resultant":
-                counts[name] = tree_count_resultant(p)
-            else:
-                counts[name] = tree_count_chebyshev(p, precision_bits=args.precision)
-            timings[name] = round((time.perf_counter() - t0) * 1000, 3)
-        values = {c.tau for c in counts.values()}
-        if len(values) != 1:
-            status = EXIT_INCONSISTENT
-            rec = {
-                "params": {"n": p.n, "k": p.k, "l": p.l},
-                "error": "InternalInconsistency",
-                "detail": "tree count methods disagree",
-                "counts": {name: str(c.tau) for name, c in counts.items()},
-            }
-            _emit(rec, args.json, f"{p}  METHODS DISAGREE: {rec['counts']}")
-            continue
-        count = next(iter(counts.values()))
-        dec = decompose(count, p)
-        checks = {
-            "divisible_by_n": count.tau % p.n == 0,
-            "cube_bound": check_lower_bound(p, count),
-        }
-        if not all(checks.values()):
-            status = EXIT_INCONSISTENT
+            code = args.run(args, p)
+        except PRECISION_ERRORS + (InternalInconsistency,) as exc:
+            code = EXIT_PRECISION if isinstance(exc, PRECISION_ERRORS) else EXIT_INCONSISTENT
+            rec = _error_record(p.n, p.k, p.l, exc)
+            _emit(rec, args.json, f"{p}  failed: {rec['error']}: {rec['detail']}")
+        status = max(status, code, key=SEVERITY.index)
+    return status
+
+
+def cmd_jacobian(args, p) -> int:
+    method = args.method
+    if method == "auto":
+        method = "companion" if p.n > LAPLACIAN_GATE else "laplacian"
+    timings: dict[str, float] = {}
+    groups = {}
+    if method in ("companion", "both"):
+        t0 = time.perf_counter()
+        groups["companion"] = jacobian_via_companion(p)
+        timings["companion"] = round((time.perf_counter() - t0) * 1000, 3)
+    if method in ("laplacian", "both"):
+        t0 = time.perf_counter()
+        groups["laplacian"] = jacobian_via_laplacian(p, allow_large=True)
+        timings["laplacian"] = round((time.perf_counter() - t0) * 1000, 3)
+    if len(groups) == 2 and groups["companion"] != groups["laplacian"]:
         rec = {
             "params": {"n": p.n, "k": p.k, "l": p.l},
-            "tau": str(count.tau),
-            "a": str(dec.a),
-            "multiplier": dec.multiplier,
-            "checks": checks,
-            "methods_used": sorted(counts),
-            "timings_ms": timings,
+            "error": "InternalInconsistency",
+            "detail": "companion and laplacian routes disagree",
+            "companion": [str(d) for d in groups["companion"].torsion],
+            "laplacian": [str(d) for d in groups["laplacian"].torsion],
         }
-        text = (
-            f"{p}  tau={count.tau} = {dec.multiplier}*{p.n}*{dec.a}^2"
-            f"  div_n={checks['divisible_by_n']}  cube={checks['cube_bound']}"
-        )
-        _emit(rec, args.json, text)
-    return status
+        _emit(rec, args.json, f"{p}  METHODS DISAGREE: {rec['companion']} vs {rec['laplacian']}")
+        return EXIT_INCONSISTENT
+    group = next(iter(groups.values()))
+    bounds = rank_bounds_report(p, group)
+    rec = {
+        "params": {"n": p.n, "k": p.k, "l": p.l},
+        "torsion": [str(d) for d in group.torsion],
+        "free_rank": group.free_rank,
+        "tau": str(group.order),
+        "checks": {"rank_lower": bounds["lower_ok"], "rank_upper": bounds["upper_ok"]},
+        "methods_used": sorted(groups),
+        "timings_ms": timings,
+    }
+    text = (
+        f"{p}  torsion={list(group.torsion)}  free_rank={group.free_rank}"
+        f"  tau={group.order}  rank={group.rank} in [2,{bounds['upper']}]"
+    )
+    _emit(rec, args.json, text)
+    return EXIT_OK if bounds["lower_ok"] and bounds["upper_ok"] else EXIT_INCONSISTENT
+
+
+def cmd_trees(args, p) -> int:
+    method = args.method
+    if method == "auto":
+        method = "resultant" if p.n > LAPLACIAN_GATE else "kirchhoff"
+    timings: dict[str, float] = {}
+    counts = {}
+    wanted = [m.value for m in TreeCountMethod] if method == "all" else [method]
+    for name in wanted:
+        t0 = time.perf_counter()
+        if name == "kirchhoff":
+            counts[name] = tree_count_kirchhoff(p)
+        elif name == "resultant":
+            counts[name] = tree_count_resultant(p)
+        else:
+            counts[name] = tree_count_chebyshev(p, precision_bits=args.precision)
+        timings[name] = round((time.perf_counter() - t0) * 1000, 3)
+    values = {c.tau for c in counts.values()}
+    if len(values) != 1:
+        rec = {
+            "params": {"n": p.n, "k": p.k, "l": p.l},
+            "error": "InternalInconsistency",
+            "detail": "tree count methods disagree",
+            "counts": {name: str(c.tau) for name, c in counts.items()},
+        }
+        _emit(rec, args.json, f"{p}  METHODS DISAGREE: {rec['counts']}")
+        return EXIT_INCONSISTENT
+    count = next(iter(counts.values()))
+    dec = decompose(count, p)
+    checks = {
+        "divisible_by_n": count.tau % p.n == 0,
+        "cube_bound": check_lower_bound(p, count),
+    }
+    rec = {
+        "params": {"n": p.n, "k": p.k, "l": p.l},
+        "tau": str(count.tau),
+        "a": str(dec.a),
+        "multiplier": dec.multiplier,
+        "checks": checks,
+        "methods_used": sorted(counts),
+        "timings_ms": timings,
+    }
+    text = (
+        f"{p}  tau={count.tau} = {dec.multiplier}*{p.n}*{dec.a}^2"
+        f"  div_n={checks['divisible_by_n']}  cube={checks['cube_bound']}"
+    )
+    _emit(rec, args.json, text)
+    return EXIT_OK if all(checks.values()) else EXIT_INCONSISTENT
 
 
 def cmd_asymptotic(args) -> int:
@@ -348,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="auto picks laplacian for n <= %d, companion above" % LAPLACIAN_GATE,
     )
     p_jac.add_argument("--json", action="store_true")
-    p_jac.set_defaults(func=cmd_jacobian)
+    p_jac.set_defaults(func=_sweep, run=cmd_jacobian)
 
     p_trees = sub.add_parser("trees", help="spanning tree counts")
     p_trees.add_argument("--n", type=_parse_range, required=True, help="single value or range a..b")
@@ -362,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_trees.add_argument("--precision", type=int, default=DEFAULT_PRECISION)
     p_trees.add_argument("--json", action="store_true")
-    p_trees.set_defaults(func=cmd_trees)
+    p_trees.set_defaults(func=_sweep, run=cmd_trees)
 
     p_asym = sub.add_parser("asymptotic", help="tree-growth constant A(k,l)")
     p_asym.add_argument("--k", type=int, required=True)
@@ -383,9 +388,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # exact counts and invariant factors outgrow Python's default limit on
+    # int -> decimal string conversion (4300 digits) from n of a few thousand
+    digit_limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if digit_limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
-    except (PrecisionExhausted, ConvergenceFailure, ClassificationFailure, QuadratureFailure) as exc:
+    except PRECISION_ERRORS as exc:
         print(f"precision failure: {exc}", file=sys.stderr)
         return EXIT_PRECISION
     except InternalInconsistency as exc:
@@ -394,6 +404,9 @@ def main(argv=None) -> int:
     except (InvalidParams, LoopError, DisconnectedError) as exc:
         print(f"invalid parameters: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        if digit_limit is not None:
+            sys.set_int_max_str_digits(digit_limit)
 
 
 if __name__ == "__main__":

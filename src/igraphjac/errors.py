@@ -31,10 +31,6 @@ class ZeroPolynomial(ValueError):
     """The zero polynomial was supplied where a nonzero one is required."""
 
 
-class NotBimonic(ValueError):
-    """A Laurent polynomial does not have unit extreme coefficients."""
-
-
 class InternalInconsistency(ArithmeticError):
     """Two routes that must agree exactly have produced different answers."""
 

@@ -1,11 +1,13 @@
 """Jacobian (critical) groups of I-graphs by two independent routes.
 
 Route one is the definition: Smith normal form of the 2n x 2n Laplacian.
-Route two compresses the cokernel first: with C the companion matrix of the
-monic normalization of spectral_poly(k, l), coker(L) and coker(C^n - I) are
-isomorphic, so the Smith computation happens on a 2(k+l) x 2(k+l) matrix
-whatever the value of n.  Both return the torsion part plus a free rank,
-which is 1 for every connected I-graph.
+Route two compresses the cokernel first: with P the monic normalization of
+spectral_poly(k, l), coker(L) is isomorphic to Z[z]/(P, z^n - 1), which the
+2(k+l) x 2(k+l) matrix M of multiplication by z^n - 1 on Z[z]/(P) presents
+whatever the value of n.  M has rank 2(k+l) - 1 and each corner cofactor of
+M is +-tau, the torsion order, so the Smith form of M is taken modulo tau.
+Both return the torsion part plus a free rank, which is 1 for every
+connected I-graph.
 """
 
 from __future__ import annotations
@@ -13,10 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import prod
 
-from .bigmat import IntMatrix, SmithForm, mat_pow, mat_sub, smith_normal_form
+from .bigmat import IntMatrix, SmithForm, determinant, smith_normal_form
 from .errors import InternalInconsistency, InvalidParams
 from .igraph import GraphParams, laplacian_matrix
-from .polyring import companion_matrix, spectral_poly
+from .polyring import presentation_matrix, spectral_poly
 
 # Above this size the Laplacian route is an oracle, not a default: callers
 # must opt in explicitly.
@@ -77,11 +79,24 @@ def jacobian_via_laplacian(p: GraphParams, *, allow_large: bool = False) -> Abel
 
 
 def jacobian_via_companion(p: GraphParams) -> AbelianGroup:
-    """Torsion of coker(C^n - I) for the 2(k+l) companion matrix C."""
-    comp = companion_matrix(spectral_poly(p.k, p.l))
-    power = mat_pow(comp, p.n)
-    reduced = mat_sub(power, IntMatrix.identity(comp.rows))
-    return group_from_smith(smith_normal_form(reduced))
+    """Torsion of coker(M), M = multiplication by z^n - 1 on Z[z]/(P).
+
+    The left kernel of M is evaluation at z = 1 and the right kernel is
+    P/(z - 1), whose end coefficients are +-1, so the (0,0) cofactor of M is
+    +-tau.  The Smith form is then taken modulo tau; its last factor must
+    come back as tau and the others must multiply to tau, a check the
+    Bareiss determinant and the elimination share no code for.
+    """
+    m = presentation_matrix(spectral_poly(p.k, p.l).to_poly(), p.n)
+    tau = abs(determinant(IntMatrix([row[1:] for row in m.to_lists()[1:]])))
+    if tau == 0:
+        raise InternalInconsistency(f"corner cofactor of the presentation of {p} is 0")
+    *torsion, last = smith_normal_form(m, modulus=tau).invariant_factors
+    if last != tau or prod(torsion) != tau:
+        raise InternalInconsistency(
+            f"Smith form modulo tau={tau} gave {torsion + [last]} for {p}"
+        )
+    return AbelianGroup(torsion=tuple(d for d in torsion if d > 1), free_rank=1)
 
 
 def rank_bounds_report(p: GraphParams, g: AbelianGroup) -> dict:

@@ -5,10 +5,13 @@ The central object is the bimonic Laurent polynomial
     spectral_poly(k, l) = (3 - z^k - z^-k)(3 - z^l - z^-l) - 1,
 
 whose values at the n-th roots of unity multiply out to n times the spanning
-tree count of I(n, k, l), together with its two derived forms: the companion
-matrix of its monic normalization and the Chebyshev-substituted quotient in
-w = (z + 1/z)/2.  Resultants are computed with the subresultant PRS, so all
-arithmetic stays in Z.
+tree count of I(n, k, l).  Both exact large-n routes work in the ring
+Z[z]/(f) for its monic normalization f = z^(k+l) spectral_poly (or f divided
+by (z - 1)^2): presentation_matrix reduces z^n mod f by square-and-multiply
+and returns the matrix of multiplication by z^n - 1, whose cokernel and
+determinant give the Jacobian group and the tree count.  The Chebyshev
+substitution w = (z + 1/z)/2 gives the quotient the floating-point route
+roots.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import mpmath
 from mpmath import mp
 
 from .bigmat import IntMatrix
-from .errors import InternalInconsistency, InvalidParams, NotBimonic, ZeroPolynomial
+from .errors import InternalInconsistency, InvalidParams, ZeroPolynomial
 
 
 def _trimmed(coeffs) -> tuple[int, ...]:
@@ -220,22 +223,64 @@ def spectral_poly(k: int, l: int) -> IntLaurentPoly:
     return IntLaurentPoly(lo, [terms.get(e, 0) for e in range(lo, hi + 1)])
 
 
-def companion_matrix(p: IntLaurentPoly) -> IntMatrix:
-    """Companion matrix of the monic normalization z^(-lo) * p.
+def _times_z(a: list[int], f: tuple[int, ...]) -> list[int]:
+    """z * a mod f for monic f of degree len(a)."""
+    top = a[-1]
+    out = [0] + a[:-1]
+    if top:
+        for i, c in enumerate(f[:-1]):
+            out[i] -= top * c
+    return out
 
-    Requires p bimonic; the result is s x s for span s, with determinant
-    (-1)^s (so +1 for even span) and characteristic polynomial z^(-lo) p(z).
+
+def _square(a: list[int], f: tuple[int, ...]) -> list[int]:
+    """a^2 mod f for monic f of degree len(a)."""
+    s = len(a)
+    out = [0] * (2 * s - 1)
+    for i, x in enumerate(a):
+        if x:
+            out[2 * i] += x * x
+            x2 = 2 * x
+            for j in range(i + 1, s):
+                y = a[j]
+                if y:
+                    out[i + j] += x2 * y
+    low = f[:-1]
+    for d in range(2 * s - 2, s - 1, -1):
+        top = out[d]
+        if top:
+            base = d - s
+            for i, c in enumerate(low):
+                if c:
+                    out[base + i] -= top * c
+    return out[:s]
+
+
+def presentation_matrix(f: IntPoly, n: int) -> IntMatrix:
+    """Matrix of multiplication by z^n - 1 on Z[z]/(f), for monic f.
+
+    Column j holds the coefficients of (z^n - 1) z^j mod f in the basis
+    1, z, ..., z^(deg f - 1), so the cokernel is Z[z]/(f, z^n - 1) and the
+    determinant is Res(f, z^n - 1), the product of a^n - 1 over the roots a
+    of f.  z^n mod f comes from square-and-multiply: O(log n) products of
+    polynomials of degree below deg f, whatever the size of n.
     """
-    if not p.is_bimonic:
-        raise NotBimonic(f"extreme coefficients must be 1, got {p.coeffs[0]}, {p.coeffs[-1]}")
-    s = len(p.coeffs) - 1
-    rows = []
-    for i in range(s - 1):
-        row = [0] * s
-        row[i + 1] = 1
-        rows.append(row)
-    rows.append([-c for c in p.coeffs[:-1]])
-    return IntMatrix(rows)
+    if f.is_zero or f.degree < 1 or f.lead != 1:
+        raise InvalidParams(f"need a monic polynomial of degree >= 1, got {f!r}")
+    if not isinstance(n, int) or n < 0:
+        raise InvalidParams("n must be a nonnegative int")
+    coeffs = f.coeffs
+    s = len(coeffs) - 1
+    r = [1] + [0] * (s - 1)
+    for bit in bin(n)[2:]:
+        r = _square(r, coeffs)
+        if bit == "1":
+            r = _times_z(r, coeffs)
+    r[0] -= 1
+    cols = [r]
+    for _ in range(s - 1):
+        cols.append(_times_z(cols[-1], coeffs))
+    return IntMatrix([list(row) for row in zip(*cols)])
 
 
 def chebyshev_t_poly(n: int) -> IntPoly:
@@ -313,104 +358,3 @@ def chebyshev_u(n: int, x):
         return mpmath.sin((n + 1) * theta) / mpmath.sin(theta)
     s = mpmath.sqrt(x * x - 1)
     return ((x + s) ** (n + 1) - (x - s) ** (n + 1)) / (2 * s)
-
-
-def all_ones_poly(n: int) -> IntPoly:
-    """1 + x + ... + x^(n-1); its roots are the nontrivial n-th roots of unity."""
-    if not isinstance(n, int) or n < 2:
-        raise InvalidParams("n must be an int >= 2")
-    return IntPoly([1] * n)
-
-
-def _content(coeffs) -> int:
-    g = 0
-    for c in coeffs:
-        g = gcd(g, c)
-        if g == 1:
-            return 1
-    return g if g else 1
-
-
-def _prem(a: list[int], b: list[int]) -> list[int]:
-    """Pseudo-remainder lc(b)^(deg a - deg b + 1) * a mod b, ascending lists."""
-    db = len(b) - 1
-    lb = b[-1]
-    r = a[:]
-    e = (len(a) - 1) - db + 1
-    while True:
-        while len(r) > 1 and r[-1] == 0:
-            r.pop()
-        dr = len(r) - 1
-        if dr < db or r == [0]:
-            break
-        lr = r[-1]
-        shift = dr - db
-        r = [lb * c for c in r]
-        for i, bc in enumerate(b):
-            r[shift + i] -= lr * bc
-        r.pop()
-        e -= 1
-    if e > 0 and r != [0]:
-        f = lb**e
-        r = [c * f for c in r]
-    return r
-
-
-def _div_coeffs(coeffs: list[int], d: int) -> list[int]:
-    out = []
-    for c in coeffs:
-        q, rem = divmod(c, d)
-        if rem:
-            raise InternalInconsistency("subresultant division was not exact")
-        out.append(q)
-    return out
-
-
-def resultant(f: IntPoly, g: IntPoly) -> int:
-    """Res(f, g) over Z via the subresultant PRS (Collins/Brown-Traub).
-
-    Follows the standard Sylvester-determinant convention, so for monic f it
-    equals the product of g over the roots of f, and swapping the arguments
-    multiplies by (-1)^(deg f * deg g).
-    """
-    if f.is_zero or g.is_zero:
-        raise ZeroPolynomial("resultant of the zero polynomial is undefined")
-    if f.degree == 0:
-        return f.coeffs[0] ** g.degree
-    if g.degree == 0:
-        return g.coeffs[0] ** f.degree
-    s = 1
-    a, b = list(f.coeffs), list(g.coeffs)
-    if len(a) < len(b):
-        if (len(a) % 2 == 0) and (len(b) % 2 == 0):  # both degrees odd
-            s = -s
-        a, b = b, a
-    ca, cb = _content(a), _content(b)
-    a = [c // ca for c in a]
-    b = [c // cb for c in b]
-    t = ca ** (len(b) - 1) * cb ** (len(a) - 1)
-    gg = 1
-    hh = 1
-    while True:
-        da, db = len(a) - 1, len(b) - 1
-        delta = da - db
-        if (da % 2 == 1) and (db % 2 == 1):
-            s = -s
-        r = _prem(a, b)
-        if r == [0]:
-            return 0  # common factor
-        a = b
-        b = _div_coeffs(r, gg * hh**delta)
-        gg = a[-1]
-        if delta:
-            num, rem = divmod(gg**delta, hh ** (delta - 1))
-            if rem:
-                raise InternalInconsistency("subresultant h-update was not exact")
-            hh = num
-        if len(b) - 1 == 0:
-            break
-    da = len(a) - 1
-    num, rem = divmod(b[0] ** da, hh ** (da - 1))
-    if rem:
-        raise InternalInconsistency("final subresultant division was not exact")
-    return s * t * num

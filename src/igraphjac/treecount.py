@@ -2,9 +2,11 @@
 
 kirchhoff  - determinant of a principal Laplacian minor (matrix-tree); exact,
              the small-n oracle.
-resultant  - tau = (-1)^((n-1)(k+l)) Res(1 + z + ... + z^(n-1), z^(k+l) P) / n
-             with P = spectral_poly(k, l); exact for any n, and the default
-             for large n.
+resultant  - tau = n |Res(Q, z^n - 1)| / (k^2 + l^2) with Q = z^(k+l) P / (z-1)^2
+             and P = spectral_poly(k, l); the resultant is the determinant of
+             multiplication by z^n - 1 on Z[z]/(Q), built from z^n mod Q in
+             O(log n) ring products.  Exact for any n, and the default for
+             large n.
 chebyshev  - tau = (-1)^((n-1)(k+l)) n prod_s (T_n(w_s) - 1)/(w_s - 1) over
              the roots w_s of chebyshev_quotient(k, l); floating point with a
              rounding guard, mainly a numerically independent cross-check.
@@ -30,11 +32,10 @@ from .bigmat import IntMatrix, determinant
 from .errors import InternalInconsistency, NotASquare, PrecisionExhausted
 from .igraph import GraphParams, laplacian_matrix
 from .polyring import (
-    all_ones_poly,
     chebyshev_quotient,
     chebyshev_t,
     chebyshev_u,
-    resultant,
+    presentation_matrix,
     spectral_poly,
 )
 
@@ -77,13 +78,22 @@ def tree_count_kirchhoff(p: GraphParams) -> TreeCount:
 
 
 def tree_count_resultant(p: GraphParams) -> TreeCount:
-    """Exact count via the resultant with the all-ones polynomial."""
-    res = resultant(all_ones_poly(p.n), spectral_poly(p.k, p.l).to_poly())
-    signed = _sign(p) * res
-    tau, rem = divmod(signed, p.n)
+    """Exact count from the resultant of Q = z^(k+l) P / (z - 1)^2 and z^n - 1.
+
+    n tau is the product of P over the nontrivial n-th roots of unity, which
+    is n^2 Res(Q, z^n - 1) / Q(1) up to sign, and Q(1) = -(k^2 + l^2).
+    """
+    q = spectral_poly(p.k, p.l).to_poly()
+    for _ in range(2):
+        q, rem = q.deflate(1)
+        if rem:
+            raise InternalInconsistency("z = 1 must be a double root of the spectral polynomial")
+    res = determinant(presentation_matrix(q, p.n))
+    tau, rem = divmod(p.n * abs(res), p.k * p.k + p.l * p.l)
     if rem or tau <= 0:
         raise InternalInconsistency(
-            f"resultant {signed} is not a positive multiple of n={p.n}"
+            f"n * |Res(Q, z^n - 1)| = {p.n * abs(res)} is not a positive "
+            f"multiple of k^2 + l^2 = {p.k * p.k + p.l * p.l}"
         )
     return TreeCount(tau, TreeCountMethod.RESULTANT)
 

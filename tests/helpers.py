@@ -3,11 +3,21 @@
 Everything here deliberately avoids the package's own exact kernels:
 determinants run over Fractions, tree counts come from deletion and
 contraction or from a plain Gaussian Kirchhoff minor, and resultants are
-Sylvester determinants.  Slow is fine; these only certify small cases.
+Sylvester determinants or the subresultant PRS.  The companion matrix and
+its powers present Z[z]/(f, z^n - 1) the way the ring kernel's
+square-and-multiply does not.  Slow is fine; these only certify.
 """
 
 from fractions import Fraction
 from math import gcd
+
+from igraphjac import (
+    DimensionMismatch,
+    IntMatrix,
+    IntPoly,
+    ZeroPolynomial,
+    spectral_poly,
+)
 
 
 def igraph_edge_list(n, k, l):
@@ -169,3 +179,145 @@ def sylvester_resultant(f, g):
     det = det_fractions(rows)
     assert det.denominator == 1
     return int(det)
+
+
+def mat_mul(a, b):
+    """Exact product of two IntMatrix values."""
+    if a.cols != b.rows:
+        raise DimensionMismatch(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
+    bl = b.to_lists()
+    return IntMatrix(
+        [[sum(x * bl[t][j] for t, x in enumerate(row)) for j in range(b.cols)] for row in a.to_lists()]
+    )
+
+
+def mat_pow(m, e):
+    """m**e by repeated squaring, e >= 0."""
+    if m.rows != m.cols:
+        raise DimensionMismatch("only square matrices can be powered")
+    if e < 0:
+        raise ValueError("exponent must be nonnegative")
+    result = IntMatrix.identity(m.rows)
+    while e:
+        if e & 1:
+            result = mat_mul(result, m)
+        e >>= 1
+        if e:
+            m = mat_mul(m, m)
+    return result
+
+
+def companion_matrix(p):
+    """Companion matrix of the monic normalization of a bimonic Laurent
+    polynomial: ones on the superdiagonal, minus the coefficients below."""
+    if not p.is_bimonic:
+        raise ValueError(f"extreme coefficients must be 1, got {p.coeffs[0]}, {p.coeffs[-1]}")
+    s = len(p.coeffs) - 1
+    rows = [[int(j == i + 1) for j in range(s)] for i in range(s - 1)]
+    rows.append([-c for c in p.coeffs[:-1]])
+    return IntMatrix(rows)
+
+
+def all_ones_poly(n):
+    """1 + x + ... + x^(n-1); its roots are the nontrivial n-th roots of unity."""
+    if not isinstance(n, int) or n < 2:
+        raise ValueError("n must be an int >= 2")
+    return IntPoly([1] * n)
+
+
+def _content(coeffs):
+    g = 0
+    for c in coeffs:
+        g = gcd(g, c)
+        if g == 1:
+            return 1
+    return g if g else 1
+
+
+def _prem(a, b):
+    """Pseudo-remainder lc(b)^(deg a - deg b + 1) * a mod b, ascending lists."""
+    db = len(b) - 1
+    lb = b[-1]
+    r = a[:]
+    e = (len(a) - 1) - db + 1
+    while True:
+        while len(r) > 1 and r[-1] == 0:
+            r.pop()
+        dr = len(r) - 1
+        if dr < db or r == [0]:
+            break
+        lr = r[-1]
+        shift = dr - db
+        r = [lb * c for c in r]
+        for i, bc in enumerate(b):
+            r[shift + i] -= lr * bc
+        r.pop()
+        e -= 1
+    if e > 0 and r != [0]:
+        f = lb**e
+        r = [c * f for c in r]
+    return r
+
+
+def _div_coeffs(coeffs, d):
+    out = []
+    for c in coeffs:
+        q, rem = divmod(c, d)
+        assert rem == 0, "subresultant division was not exact"
+        out.append(q)
+    return out
+
+
+def resultant(f, g):
+    """Res(f, g) of two IntPoly values via the subresultant PRS
+    (Collins/Brown-Traub), in the Sylvester-determinant convention: for
+    monic f it is the product of g over the roots of f, and swapping the
+    arguments multiplies it by (-1)^(deg f * deg g)."""
+    if f.is_zero or g.is_zero:
+        raise ZeroPolynomial("resultant of the zero polynomial is undefined")
+    if f.degree == 0:
+        return f.coeffs[0] ** g.degree
+    if g.degree == 0:
+        return g.coeffs[0] ** f.degree
+    s = 1
+    a, b = list(f.coeffs), list(g.coeffs)
+    if len(a) < len(b):
+        if (len(a) % 2 == 0) and (len(b) % 2 == 0):  # both degrees odd
+            s = -s
+        a, b = b, a
+    ca, cb = _content(a), _content(b)
+    a = [c // ca for c in a]
+    b = [c // cb for c in b]
+    t = ca ** (len(b) - 1) * cb ** (len(a) - 1)
+    gg = 1
+    hh = 1
+    while True:
+        da, db = len(a) - 1, len(b) - 1
+        delta = da - db
+        if (da % 2 == 1) and (db % 2 == 1):
+            s = -s
+        r = _prem(a, b)
+        if r == [0]:
+            return 0  # common factor
+        a = b
+        b = _div_coeffs(r, gg * hh**delta)
+        gg = a[-1]
+        if delta:
+            num, rem = divmod(gg**delta, hh ** (delta - 1))
+            assert rem == 0, "subresultant h-update was not exact"
+            hh = num
+        if len(b) - 1 == 0:
+            break
+    da = len(a) - 1
+    num, rem = divmod(b[0] ** da, hh ** (da - 1))
+    assert rem == 0, "final subresultant division was not exact"
+    return s * t * num
+
+
+def tree_count_subresultant(n, k, l):
+    """tau(I(n,k,l)) = (-1)^((n-1)(k+l)) Res(1 + z + ... + z^(n-1), z^(k+l) P) / n
+    for P = spectral_poly(k, l), by the subresultant PRS."""
+    res = resultant(all_ones_poly(n), spectral_poly(k, l).to_poly())
+    tau, rem = divmod(-res if ((n - 1) * (k + l)) % 2 else res, n)
+    assert rem == 0 and tau > 0
+    return tau

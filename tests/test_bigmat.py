@@ -1,4 +1,5 @@
 import random
+from math import gcd
 
 import pytest
 
@@ -8,11 +9,9 @@ from igraphjac import (
     IntMatrix,
     SmithForm,
     determinant,
-    mat_mul,
-    mat_pow,
-    mat_sub,
     smith_normal_form,
 )
+from helpers import mat_mul, mat_pow
 
 
 def random_matrix(rng, rows, cols, bound=9):
@@ -66,11 +65,6 @@ class TestArithmetic:
         b = random_matrix(rng, 4, 2)
         c = random_matrix(rng, 2, 5)
         assert mat_mul(mat_mul(a, b), c) == mat_mul(a, mat_mul(b, c))
-
-    def test_sub(self):
-        a = IntMatrix([[5, 1], [0, 2]])
-        b = IntMatrix([[1, 1], [1, 1]])
-        assert mat_sub(a, b).to_lists() == [[4, 0], [-1, 1]]
 
     def test_pow_matches_repeated_mul(self):
         rng = random.Random(13)
@@ -131,12 +125,19 @@ class TestSmithNormalForm:
     def test_known_diagonal(self):
         sf = smith_normal_form(IntMatrix([[4, 0], [0, 6]]))
         assert sf.invariant_factors == (2, 12)
+        assert smith_normal_form(IntMatrix([[4, 0], [0, 6]]), modulus=8).invariant_factors == (2, 4)
 
     def test_identity(self):
         assert smith_normal_form(IntMatrix.identity(3)).invariant_factors == (1, 1, 1)
 
     def test_zero_matrix(self):
         assert smith_normal_form(IntMatrix.zeros(2, 3)).invariant_factors == (0, 0)
+        # a zero factor comes back as the modulus
+        assert smith_normal_form(IntMatrix.zeros(2, 3), modulus=5).invariant_factors == (5, 5)
+
+    def test_rejects_negative_modulus(self):
+        with pytest.raises(ValueError):
+            smith_normal_form(IntMatrix.identity(2), modulus=-3)
 
     def test_rectangular_shapes(self):
         sf = smith_normal_form(IntMatrix([[2, 4, 4], [-6, 6, 12]]))
@@ -148,10 +149,16 @@ class TestSmithNormalForm:
 
     def test_divisibility_chain_and_sign(self):
         rng = random.Random(29)
+        mod_rng = random.Random(30)
         for trial in range(30):
             rows = rng.randint(1, 5)
             cols = rng.randint(1, 5)
-            sf = smith_normal_form(random_matrix(rng, rows, cols))
+            m = random_matrix(rng, rows, cols)
+            sf = smith_normal_form(m)
+            # modulo D the factors are those of [m | D*I]: gcd(d, D) each
+            for modulus in (mod_rng.randint(1, 60), mod_rng.randint(1, 10**6)):
+                expected = tuple(gcd(d, modulus) for d in sf.invariant_factors)
+                assert smith_normal_form(m, modulus=modulus).invariant_factors == expected
             diag = sf.invariant_factors
             assert all(d >= 0 for d in diag)
             nonzero = [d for d in diag if d]
@@ -183,6 +190,7 @@ class TestSmithNormalForm:
 
     def test_invariant_under_unimodular_transforms(self):
         rng = random.Random(41)
+        mod_rng = random.Random(42)
         for trial in range(15):
             size = rng.randint(2, 4)
             m = random_matrix(rng, size, size, bound=6)
@@ -191,6 +199,8 @@ class TestSmithNormalForm:
             assert abs(determinant(u)) == 1 and abs(determinant(v)) == 1
             transformed = mat_mul(u, mat_mul(m, v))
             assert smith_normal_form(transformed) == smith_normal_form(m)
+            modulus = mod_rng.randint(1, 200)
+            assert smith_normal_form(transformed, modulus) == smith_normal_form(m, modulus)
 
 
 class TestSmithFormValidation:

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
-from igraphjac.cli import EXIT_OK, EXIT_USAGE, main
+from igraphjac import InternalInconsistency
+from igraphjac import cli
+from igraphjac.cli import EXIT_INCONSISTENT, EXIT_OK, EXIT_PRECISION, EXIT_USAGE, main
 
 import expected_tables
 import helpers
@@ -93,6 +95,44 @@ class TestTreesCommand:
         assert code == EXIT_OK
         assert records[0]["methods_used"] == ["resultant"]
         assert int(records[0]["tau"]) % 100 == 0
+
+    def test_sweep_goes_on_past_failing_graphs(self, capsys):
+        # 32 bits stop sufficing for the Chebyshev count of (2,3) near n = 39
+        argv = ["trees", "--n", "30..45", "--k", "2", "--l", "3",
+                "--method", "chebyshev", "--precision", "32", "--json"]
+        code, records = run_json_lines(capsys, argv)
+        assert code == EXIT_PRECISION
+        assert [rec["params"]["n"] for rec in records] == list(range(30, 46))
+        assert "tau" in records[0]
+        assert records[-1]["error"] == "PrecisionExhausted"
+        # a single graph keeps its exit code and gets the same record
+        code, (rec,) = run_json_lines(capsys, argv[:2] + ["45"] + argv[3:])
+        assert code == EXIT_PRECISION
+        assert rec["error"] == "PrecisionExhausted"
+
+    def test_inconsistency_outranks_precision_failure(self, capsys, monkeypatch):
+        chebyshev = cli.tree_count_chebyshev
+
+        def broken_at_31(p, precision_bits):
+            if p.n == 31:
+                raise InternalInconsistency("injected")
+            return chebyshev(p, precision_bits=precision_bits)
+
+        monkeypatch.setattr(cli, "tree_count_chebyshev", broken_at_31)
+        code, records = run_json_lines(
+            capsys,
+            ["trees", "--n", "30..45", "--k", "2", "--l", "3",
+             "--method", "chebyshev", "--precision", "32", "--json"],
+        )
+        assert code == EXIT_INCONSISTENT
+        assert records[1]["error"] == "InternalInconsistency"
+        assert len(records) == 16
+
+    def test_counts_beyond_default_digit_limit(self, capsys):
+        # tau(I(8000,1,1)) has 4580 digits, past Python's 4300-digit default
+        code, (rec,) = run_json_lines(capsys, ["trees", "--n", "8000", "--k", "1", "--l", "1", "--json"])
+        assert code == EXIT_OK
+        assert len(rec["tau"]) == 4580
 
     def test_published_row(self, capsys):
         code, records = run_json_lines(

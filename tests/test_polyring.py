@@ -5,21 +5,19 @@ import mpmath
 import pytest
 
 import helpers
+from helpers import all_ones_poly, companion_matrix, resultant
 from igraphjac import (
     IntLaurentPoly,
     IntMatrix,
     IntPoly,
-    NotBimonic,
+    InvalidParams,
     ZeroPolynomial,
-    all_ones_poly,
     chebyshev_quotient,
     chebyshev_t,
     chebyshev_t_poly,
     chebyshev_u,
-    companion_matrix,
     determinant,
-    mat_sub,
-    resultant,
+    presentation_matrix,
     spectral_poly,
 )
 
@@ -123,6 +121,8 @@ class TestSpectralPoly:
 
 
 class TestCompanionMatrix:
+    """The oracle the ring kernel is checked against."""
+
     def test_size_and_last_row(self):
         c = companion_matrix(spectral_poly(1, 1))
         assert (c.rows, c.cols) == (4, 4)
@@ -131,18 +131,47 @@ class TestCompanionMatrix:
             assert c.to_lists()[i][i + 1] == 1
 
     def test_rejects_non_bimonic(self):
-        with pytest.raises(NotBimonic):
+        with pytest.raises(ValueError):
             companion_matrix(IntLaurentPoly(-1, [2, 3, 1]))
 
     @pytest.mark.parametrize("k,l", [(1, 1), (1, 2), (2, 3)])
     def test_characteristic_polynomial(self, k, l):
         # det(zI - C) must reproduce the monic shifted polynomial
         poly = spectral_poly(k, l).to_poly()
-        c = companion_matrix(spectral_poly(k, l))
-        s = c.rows
+        c = companion_matrix(spectral_poly(k, l)).to_lists()
+        s = len(c)
         for z in (-2, -1, 2, 3, 5):
-            zi = IntMatrix([[z if i == j else 0 for j in range(s)] for i in range(s)])
-            assert determinant(mat_sub(zi, c)) == poly(z)
+            zi_minus_c = IntMatrix([[z * (i == j) - c[i][j] for j in range(s)] for i in range(s)])
+            assert determinant(zi_minus_c) == poly(z)
+
+
+class TestPresentationMatrix:
+    @pytest.mark.parametrize("k,l", [(1, 1), (1, 2), (2, 3), (3, 4)])
+    def test_is_transposed_companion_power(self, k, l):
+        # multiplication by z on Z[z]/(f) is the transposed companion matrix
+        f = spectral_poly(k, l)
+        c = companion_matrix(f)
+        for n in (0, 1, 2, 7, 16, 33):
+            power = helpers.mat_pow(c, n).to_lists()
+            expected = [[power[j][i] - (i == j) for j in range(c.rows)] for i in range(c.rows)]
+            assert presentation_matrix(f.to_poly(), n).to_lists() == expected
+
+    def test_determinant_is_resultant_with_z_n_minus_one(self):
+        rng = random.Random(59)
+        for _ in range(20):
+            f = IntPoly([rng.randint(-4, 4) for _ in range(rng.randint(1, 5))] + [1])
+            n = rng.randint(1, 9)
+            z_n_minus_one = IntPoly([-1] + [0] * (n - 1) + [1])
+            det = helpers.det_fractions(presentation_matrix(f, n).to_lists())
+            assert det == resultant(f, z_n_minus_one)
+
+    def test_rejects_non_monic_and_negative_n(self):
+        with pytest.raises(InvalidParams):
+            presentation_matrix(IntPoly([1, 2]), 3)
+        with pytest.raises(InvalidParams):
+            presentation_matrix(IntPoly([5]), 3)
+        with pytest.raises(InvalidParams):
+            presentation_matrix(IntPoly([1, 1]), -1)
 
 
 class TestChebyshev:

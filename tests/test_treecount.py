@@ -3,12 +3,17 @@ import pytest
 import helpers
 from igraphjac import (
     GraphParams,
+    IntMatrix,
     PrecisionExhausted,
     TreeCountMethod,
     check_lower_bound,
     decompose,
+    determinant,
+    jacobian_via_companion,
     normalize,
+    presentation_matrix,
     sixfold_rule_report,
+    spectral_poly,
     tree_count_chebyshev,
     tree_count_kirchhoff,
     tree_count_resultant,
@@ -51,6 +56,23 @@ def test_fraction_kirchhoff_oracle(n, k, l):
     edges = helpers.igraph_edge_list(n, k, l)
     tau = helpers.tree_count_kirchhoff_fractions(2 * n, edges)
     assert tau == tree_count_resultant(GraphParams(n, k, l)).tau
+
+
+@pytest.mark.parametrize("n", [64, 777, 1000])
+@pytest.mark.parametrize("k,l", [(2, 3), (3, 4), (4, 5)])
+def test_large_n_subresultant_oracle(n, k, l):
+    p = normalize(n, k, l)
+    tau = tree_count_resultant(p).tau
+    assert tau == helpers.tree_count_subresultant(n, k, l)
+    assert jacobian_via_companion(p).order == tau
+    # the Jacobian route takes the Smith form modulo the (0,0) cofactor; the
+    # kernels of M make every corner cofactor +-tau
+    m = presentation_matrix(spectral_poly(k, l).to_poly(), n).to_lists()
+    corners = (0, len(m) - 1)
+    for i in corners:
+        for j in corners:
+            minor = [row[:j] + row[j + 1 :] for r, row in enumerate(m) if r != i]
+            assert abs(determinant(IntMatrix(minor))) == tau
 
 
 def test_method_tags():
