@@ -34,7 +34,6 @@ from .polyring import (
     chebyshev_quotient,
     chebyshev_t,
     chebyshev_t_poly,
-    chebyshev_u,
     presentation_matrix,
     spectral_poly,
 )

@@ -2,9 +2,11 @@
 
 The spanning tree count of I(n, k, l) grows like (n / (k^2 + l^2)) * A^n
 where A is the product of the roots of spectral_poly(k, l) lying outside the
-unit circle.  A equals the Mahler measure of the polynomial, so it can also
-be computed as exp of the average of log|P| over the unit circle; the two
-routes check each other.
+unit circle.  The root product reads them off the k+l-1 roots of
+chebyshev_quotient(k, l), the same root set the Chebyshev tree count uses.
+A equals the Mahler measure of the polynomial, so it can also be computed
+as exp of the average of log|P| over the unit circle; the two routes check
+each other.
 
 Root finding is an Aberth-style simultaneous iteration in mpmath arithmetic:
 deterministic start points on a Cauchy-bound circle, Gauss-Seidel updates,
@@ -22,11 +24,10 @@ from mpmath import mp
 from .errors import (
     ClassificationFailure,
     ConvergenceFailure,
-    InternalInconsistency,
     QuadratureFailure,
     ZeroPolynomial,
 )
-from .polyring import IntPoly, spectral_poly
+from .polyring import IntPoly, chebyshev_quotient
 
 if TYPE_CHECKING:  # pragma: no cover
     from .igraph import GraphParams
@@ -146,53 +147,37 @@ def poly_roots(poly: IntPoly, precision_bits: int = DEFAULT_PRECISION) -> RootSe
     return RootSet(tuple(found), residual)
 
 
-def _deflated_unit_roots(k: int, l: int) -> IntPoly:
-    """z^(k+l) * spectral_poly with the double root at z = 1 divided out."""
-    poly = spectral_poly(k, l).to_poly()
-    for _ in range(2):
-        poly, rem = poly.deflate(1)
-        if rem != 0:
-            raise InternalInconsistency("z = 1 must be a double root")
-    return poly
-
-
 def mahler_constant(k: int, l: int, precision_bits: int = DEFAULT_PRECISION) -> RealApprox:
     """Product of the roots of spectral_poly(k, l) outside the unit circle.
 
-    The double root at 1 is removed exactly beforehand; the remaining
-    2(k+l-1) roots must split evenly between strictly inside and strictly
-    outside, using 2^(-precision_bits/4) as the classification margin.
+    Each root w of chebyshev_quotient(k, l) stands for the pair of roots
+    z = w +- sqrt(w^2 - 1) of spectral_poly, whose product is 1, so the
+    outer one contributes max(|w + s|, 1/|w + s|) with s = sqrt(w^2 - 1).
+    The double root at z = 1 is the known root w = 1 divided out of the
+    quotient.  A factor within 2^(-precision_bits/4) of 1 (w on or near
+    [-1, 1]) raises ClassificationFailure.  A Newton correction dw moves
+    |z| by a relative |dw| / |s|, which carries the error bound.
     """
-    reduced = _deflated_unit_roots(k, l)
-    rset = poly_roots(reduced, precision_bits)
-    expected = k + l - 1
+    quotient = chebyshev_quotient(k, l)
+    rset = poly_roots(quotient, precision_bits)
     with mp.workprec(precision_bits + 64):
         margin = mp.mpf(2) ** (-(precision_bits // 4))
-        outside = []
-        inside = 0
-        for z in rset.roots:
-            r = abs(z)
-            if r > 1 + margin:
-                outside.append(z)
-            elif r < 1 - margin:
-                inside += 1
-            else:
-                raise ClassificationFailure(
-                    f"root of modulus {mpmath.nstr(r, 20)} too close to the unit circle"
-                )
-        if len(outside) != expected or inside != expected:
-            raise ClassificationFailure(
-                f"expected {expected} roots on each side, got "
-                f"{len(outside)} outside / {inside} inside"
-            )
+        cs = [mp.mpf(c) for c in quotient.coeffs]
         value = mp.mpf(1)
         err_rel = mp.mpf(0)
-        cs = [mp.mpf(c) for c in reduced.coeffs]
-        for z in outside:
-            value *= abs(z)
-            p, dp = _eval_with_derivative(cs, mp.mpc(z))
-            if dp != 0:
-                err_rel += abs(p / dp) / abs(z)
+        for w in rset.roots:
+            w = mp.mpc(w)
+            s = mpmath.sqrt(w * w - 1)
+            r = abs(w + s)
+            factor = max(r, 1 / r)
+            if factor <= 1 + margin:
+                raise ClassificationFailure(
+                    f"root pair of modulus {mpmath.nstr(r, 20)} too close to the unit circle"
+                )
+            value *= factor
+            q, dq = _eval_with_derivative(cs, w)
+            if dq != 0:
+                err_rel += abs(q / dq) / abs(s)
         floor = mp.mpf(2) ** (-(precision_bits - 8))
         bound = value * (16 * err_rel + floor)
     return RealApprox(value, bound)

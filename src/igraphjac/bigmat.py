@@ -34,14 +34,6 @@ class IntMatrix:
         self.rows = len(rows)
         self.cols = width
 
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls([[0] * cols for _ in range(rows)])
-
     def __getitem__(self, ij):
         i, j = ij
         return self._data[i][j]

@@ -213,6 +213,12 @@ def cmd_trees(args, p) -> int:
     return EXIT_OK if all(checks.values()) else EXIT_INCONSISTENT
 
 
+def _justified(approx) -> str:
+    """The value to the significant digits its error bound leaves intact."""
+    digits = int(mpmath.floor(mpmath.log10(abs(approx.value) / approx.error_bound)))
+    return mpmath.nstr(approx.value, max(digits, 1))
+
+
 def cmd_asymptotic(args) -> int:
     k, l = args.k, args.l
     root = mahler_constant(k, l, precision_bits=args.precision)
@@ -223,18 +229,16 @@ def cmd_asymptotic(args) -> int:
         "k": k,
         "l": l,
         "precision_bits": args.precision,
-        "constant": mpmath.nstr(root.value, 30),
+        "constant": _justified(root),
         "constant_error_bound": mpmath.nstr(root.error_bound, 5),
-        "integral": mpmath.nstr(integral.value, 30),
+        "integral": _justified(integral),
         "integral_error_bound": mpmath.nstr(integral.error_bound, 5),
         "agree": agree,
     }
     lines = [
-        f"A({k},{l}) root product  = {mpmath.nstr(root.value, 30)}  "
-        f"(err <= {mpmath.nstr(root.error_bound, 5)})",
-        f"A({k},{l}) Mahler integral = {mpmath.nstr(integral.value, 30)}  "
-        f"(err <= {mpmath.nstr(integral.error_bound, 5)})",
-        f"4-decimal value: {mpmath.nstr(root.value, 5)}",
+        f"A({k},{l}) root product  = {rec['constant']}  (err <= {rec['constant_error_bound']})",
+        f"A({k},{l}) Mahler integral = {rec['integral']}  (err <= {rec['integral_error_bound']})",
+        f"4-decimal value: {_format_a_cell(root.value)}",
         f"routes agree within bounds: {agree}",
     ]
     if args.ratio_at is not None:

@@ -10,8 +10,9 @@ Z[z]/(f) for its monic normalization f = z^(k+l) spectral_poly (or f divided
 by (z - 1)^2): presentation_matrix reduces z^n mod f by square-and-multiply
 and returns the matrix of multiplication by z^n - 1, whose cokernel and
 determinant give the Jacobian group and the tree count.  The Chebyshev
-substitution w = (z + 1/z)/2 gives the quotient the floating-point route
-roots.
+substitution w = (z + 1/z)/2 gives the quotient whose roots both
+floating-point routes (the Chebyshev tree count and the growth constant)
+use.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from fractions import Fraction
 from math import gcd
 
 import mpmath
-from mpmath import mp
 
 from .bigmat import IntMatrix
 from .errors import InternalInconsistency, InvalidParams, ZeroPolynomial
@@ -96,14 +96,6 @@ class IntPoly:
 
     __rmul__ = __mul__
 
-    def shifted(self, m: int) -> "IntPoly":
-        """Multiply by x**m (m >= 0)."""
-        if m < 0:
-            raise ValueError("shift must be nonnegative")
-        if self.is_zero:
-            return self
-        return IntPoly((0,) * m + self.coeffs)
-
     def deflate(self, root: int) -> tuple["IntPoly", int]:
         """Synthetic division by (x - root); returns (quotient, remainder)."""
         if self.is_zero:
@@ -153,11 +145,6 @@ class IntLaurentPoly:
     def is_zero(self) -> bool:
         return self.coeffs == (0,)
 
-    @property
-    def is_bimonic(self) -> bool:
-        """Both extreme coefficients equal to 1."""
-        return len(self.coeffs) >= 2 and self.coeffs[0] == 1 and self.coeffs[-1] == 1
-
     def __call__(self, z):
         if isinstance(z, int) and not isinstance(z, bool):
             z = Fraction(z)
@@ -165,18 +152,6 @@ class IntLaurentPoly:
         for c in reversed(self.coeffs):
             acc = acc * z + c
         return acc * z**self.lo
-
-    def derivative(self) -> "IntLaurentPoly":
-        terms = {}
-        for i, c in enumerate(self.coeffs):
-            e = self.lo + i
-            if c and e:
-                terms[e - 1] = c * e
-        if not terms:
-            return IntLaurentPoly(0, [0])
-        lo = min(terms)
-        hi = max(terms)
-        return IntLaurentPoly(lo, [terms.get(e, 0) for e in range(lo, hi + 1)])
 
     def to_poly(self) -> IntPoly:
         """The ordinary polynomial z^(-lo) * p, i.e. exponents reindexed from 0."""
@@ -311,10 +286,9 @@ def chebyshev_quotient(k: int, l: int) -> IntPoly:
     return quot
 
 
-def _cheb_exact(n: int, x, second_kind: bool):
+def _cheb_exact(n: int, x):
     one = x - x + 1 if not isinstance(x, int) else 1
-    prev = one
-    cur = (2 * x if second_kind else x) * one
+    prev, cur = one, x * one
     if n == 0:
         return prev
     for _ in range(n - 1):
@@ -331,7 +305,7 @@ def chebyshev_t(n: int, x):
     if n < 0:
         raise InvalidParams("n must be nonnegative")
     if isinstance(x, int) and not isinstance(x, bool) or isinstance(x, Fraction):
-        return _cheb_exact(n, x, second_kind=False)
+        return _cheb_exact(n, x)
     x = mpmath.mpmathify(x)
     if isinstance(x, mpmath.mpc):
         s = mpmath.sqrt(x * x - 1)
@@ -340,21 +314,3 @@ def chebyshev_t(n: int, x):
         return mpmath.cos(n * mpmath.acos(x))
     s = mpmath.sqrt(x * x - 1)
     return ((x + s) ** n + (x - s) ** n) / 2
-
-
-def chebyshev_u(n: int, x):
-    """U_n(x), exact for int/Fraction input, mpmath otherwise."""
-    if n < 0:
-        raise InvalidParams("n must be nonnegative")
-    if isinstance(x, int) and not isinstance(x, bool) or isinstance(x, Fraction):
-        return _cheb_exact(n, x, second_kind=True)
-    x = mpmath.mpmathify(x)
-    if x == 1:
-        return type(x)(n + 1)
-    if x == -1:
-        return type(x)((n + 1) * (-1) ** n)
-    if not isinstance(x, mpmath.mpc) and -1 < x < 1:
-        theta = mpmath.acos(x)
-        return mpmath.sin((n + 1) * theta) / mpmath.sin(theta)
-    s = mpmath.sqrt(x * x - 1)
-    return ((x + s) ** (n + 1) - (x - s) ** (n + 1)) / (2 * s)

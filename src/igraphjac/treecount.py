@@ -10,6 +10,7 @@ resultant  - tau = n |Res(Q, z^n - 1)| / (k^2 + l^2) with Q = z^(k+l) P / (z-1)^
 chebyshev  - tau = (-1)^((n-1)(k+l)) n prod_s (T_n(w_s) - 1)/(w_s - 1) over
              the roots w_s of chebyshev_quotient(k, l); floating point with a
              rounding guard, mainly a numerically independent cross-check.
+             The growth constant in asymptotics reads the same roots.
 
 Every count tau is divisible by n, is at least n^3, and splits as
 tau = multiplier * n * a^2 with multiplier 6 when n is even and the exact
@@ -31,13 +32,7 @@ from .asymptotics import DEFAULT_PRECISION, poly_roots
 from .bigmat import IntMatrix, determinant
 from .errors import InternalInconsistency, NotASquare, PrecisionExhausted
 from .igraph import GraphParams, laplacian_matrix
-from .polyring import (
-    chebyshev_quotient,
-    chebyshev_t,
-    chebyshev_u,
-    presentation_matrix,
-    spectral_poly,
-)
+from .polyring import chebyshev_quotient, chebyshev_t, presentation_matrix, spectral_poly
 
 ROUNDING_GUARD = 0.25
 
@@ -103,35 +98,21 @@ def _quotient_roots(k: int, l: int, precision_bits: int):
     return poly_roots(chebyshev_quotient(k, l), precision_bits).roots
 
 
-def tree_count_chebyshev(
-    p: GraphParams,
-    precision_bits: int = DEFAULT_PRECISION,
-    second_kind: bool = False,
-) -> TreeCount:
+def tree_count_chebyshev(p: GraphParams, precision_bits: int = DEFAULT_PRECISION) -> TreeCount:
     """Floating-point count from the Chebyshev closed formula, then rounded.
 
     Rounding is only accepted when the computed value sits within
     ROUNDING_GUARD of an integer (and its imaginary part is just as small);
     otherwise PrecisionExhausted asks the caller for more bits.
-
-    second_kind evaluates the equivalent product n * |prod U_(n-1)(
-    sqrt((1+w_s)/2))|^2 instead, as an extra cross-check.
     """
     roots = _quotient_roots(p.k, p.l, precision_bits)
     with mp.workprec(precision_bits + 64):
-        if second_kind:
-            acc = mp.mpc(1)
-            for w in roots:
-                acc *= chebyshev_u(p.n - 1, mpmath.sqrt((1 + mp.mpc(w)) / 2))
-            value = p.n * abs(acc) ** 2
-            distance = abs(value - mpmath.nint(value))
-        else:
-            acc = mp.mpc(1)
-            for w in roots:
-                acc *= (chebyshev_t(p.n, mp.mpc(w)) - 1) / (w - 1)
-            signed = _sign(p) * p.n * acc
-            value = mp.re(signed)
-            distance = max(abs(value - mpmath.nint(value)), abs(mp.im(signed)))
+        acc = mp.mpc(1)
+        for w in roots:
+            acc *= (chebyshev_t(p.n, mp.mpc(w)) - 1) / (w - 1)
+        signed = _sign(p) * p.n * acc
+        value = mp.re(signed)
+        distance = max(abs(value - mpmath.nint(value)), abs(mp.im(signed)))
         # once the unit in the last place reaches 1 every float is an
         # integer and the distance test below stops meaning anything
         if value != 0 and mpmath.mag(value) > mp.prec - 4:

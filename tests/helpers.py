@@ -13,11 +13,57 @@ from math import gcd
 
 from igraphjac import (
     DimensionMismatch,
+    IntLaurentPoly,
     IntMatrix,
     IntPoly,
     ZeroPolynomial,
     spectral_poly,
 )
+
+
+def identity(n):
+    return IntMatrix([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+
+
+def zeros(rows, cols):
+    return IntMatrix([[0] * cols for _ in range(rows)])
+
+
+def shifted(poly, m):
+    """poly * x**m (m >= 0)."""
+    if m < 0:
+        raise ValueError("shift must be nonnegative")
+    if poly.is_zero:
+        return poly
+    return IntPoly((0,) * m + poly.coeffs)
+
+
+def is_bimonic(p):
+    """Both extreme coefficients of a Laurent polynomial equal to 1."""
+    return len(p.coeffs) >= 2 and p.coeffs[0] == 1 and p.coeffs[-1] == 1
+
+
+def derivative(p):
+    """Formal derivative of an IntLaurentPoly."""
+    terms = {}
+    for i, c in enumerate(p.coeffs):
+        e = p.lo + i
+        if c and e:
+            terms[e - 1] = c * e
+    if not terms:
+        return IntLaurentPoly(0, [0])
+    lo, hi = min(terms), max(terms)
+    return IntLaurentPoly(lo, [terms.get(e, 0) for e in range(lo, hi + 1)])
+
+
+def chebyshev_u(n, x):
+    """U_n(x) by the three-term recurrence, exact for int/Fraction x."""
+    prev, cur = 1, 2 * x
+    if n == 0:
+        return prev
+    for _ in range(n - 1):
+        prev, cur = cur, 2 * x * cur - prev
+    return cur
 
 
 def igraph_edge_list(n, k, l):
@@ -197,7 +243,7 @@ def mat_pow(m, e):
         raise DimensionMismatch("only square matrices can be powered")
     if e < 0:
         raise ValueError("exponent must be nonnegative")
-    result = IntMatrix.identity(m.rows)
+    result = identity(m.rows)
     while e:
         if e & 1:
             result = mat_mul(result, m)
@@ -210,7 +256,7 @@ def mat_pow(m, e):
 def companion_matrix(p):
     """Companion matrix of the monic normalization of a bimonic Laurent
     polynomial: ones on the superdiagonal, minus the coefficients below."""
-    if not p.is_bimonic:
+    if not is_bimonic(p):
         raise ValueError(f"extreme coefficients must be 1, got {p.coeffs[0]}, {p.coeffs[-1]}")
     s = len(p.coeffs) - 1
     rows = [[int(j == i + 1) for j in range(s)] for i in range(s - 1)]

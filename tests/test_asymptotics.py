@@ -1,9 +1,12 @@
 import mpmath
 import pytest
 
+import igraphjac.asymptotics
 from igraphjac import (
+    ClassificationFailure,
     GraphParams,
     IntPoly,
+    RootSet,
     ZeroPolynomial,
     asymptotic_ratio,
     chebyshev_quotient,
@@ -104,8 +107,24 @@ class TestMahlerConstant:
             a = mahler_constant(k, l)
             assert 3 < a.value < 5.2
 
+    def test_low_precision_within_its_bound(self):
+        for k, l in [(1, 1), (2, 3), (5, 6), (8, 9)]:
+            coarse = mahler_constant(k, l, precision_bits=40)
+            fine = mahler_constant(k, l, precision_bits=256)
+            assert abs(coarse.value - fine.value) <= coarse.error_bound
+
+    def test_quotient_root_in_unit_interval_is_rejected(self, monkeypatch):
+        # w = 1/2 maps to a pair of roots on the unit circle
+        def fake_roots(poly, precision_bits):
+            return RootSet((mpmath.mpc(3), mpmath.mpc("0.5")), mpmath.mpf(0))
+
+        monkeypatch.setattr(igraphjac.asymptotics, "poly_roots", fake_roots)
+        with pytest.raises(ClassificationFailure):
+            mahler_constant(1, 2)
+
     def test_quotient_root_correspondence(self):
-        # outside roots map to Q's roots through w = (z + 1/z) / 2
+        # outside roots map to Q's roots through w = (z + 1/z) / 2, the
+        # correspondence mahler_constant inverts
         rset = poly_roots(spectral_poly(2, 3).to_poly(), precision_bits=192)
         with mpmath.workprec(256):
             mapped = sorted(

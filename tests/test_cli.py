@@ -153,6 +153,21 @@ class TestAsymptoticCommand:
         assert rec["constant"].startswith("3.7320508")
         assert rec["integral"].startswith("3.7320508")
 
+    def test_digits_follow_error_bounds_at_64_bits(self, capsys):
+        argv = ["asymptotic", "--k", "2", "--l", "3", "--precision", "64"]
+        assert main(argv) == EXIT_OK
+        text = capsys.readouterr().out
+        # the published cell is truncated, not rounded to 4.842
+        assert "4-decimal value: 4.8419\n" in text
+        code, (rec,) = run_json_lines(capsys, argv + ["--json"])
+        assert code == EXIT_OK
+        assert rec["constant"] == "4.841992943028164"
+        assert f"= {rec['constant']}  (err <= {rec['constant_error_bound']})" in text
+        for key in ("constant", "integral"):
+            digits = len(rec[key].replace(".", ""))
+            last_place = 10.0 ** (1 - digits)  # both values lie in [1, 10)
+            assert last_place >= float(rec[key + "_error_bound"]) > last_place / 100
+
     def test_ratio_probe(self, capsys):
         code, records = run_json_lines(
             capsys,

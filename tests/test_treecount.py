@@ -82,14 +82,6 @@ def test_method_tags():
     assert tree_count_chebyshev(p).method is TreeCountMethod.CHEBYSHEV
 
 
-def test_chebyshev_second_kind_agrees():
-    for n, k, l in [(5, 1, 2), (8, 2, 3), (12, 3, 4), (9, 1, 1)]:
-        p = GraphParams(n, k, l)
-        first = tree_count_chebyshev(p)
-        second = tree_count_chebyshev(p, second_kind=True)
-        assert first.tau == second.tau
-
-
 def test_chebyshev_needs_enough_bits():
     # a count near 2.4e31 overflows the integer headroom of 32-bit requests
     p = GraphParams(45, 2, 3)
