@@ -19,7 +19,7 @@ from .errors import (
     QuadratureFailure,
     ZeroPolynomial,
 )
-from .igraph import DEGREE, GraphParams, adjacency_matrix, laplacian_matrix, normalize
+from .igraph import DEGREE, DENSE_CEILING, GraphParams, adjacency_matrix, laplacian_matrix, normalize
 from .jacobian import (
     LAPLACIAN_GATE,
     AbelianGroup,
@@ -41,7 +41,6 @@ from .treecount import (
     ROUNDING_GUARD,
     Decomposition,
     TreeCount,
-    TreeCountMethod,
     check_lower_bound,
     decompose,
     sixfold_rule_report,

@@ -9,9 +9,11 @@ Subcommands:
 Ranges are written a..b (inclusive).  --json switches record streams to one
 JSON object per line; big integers are serialized as decimal strings.  Exit
 codes: 0 success, 1 internal consistency failure, 2 usage error, 3 numeric
-precision failure.  A range sweep gives a graph whose computation fails an
-error record and goes on; its exit code is the worst over the range, with a
-consistency failure outranking a precision failure.
+precision failure.  `jacobian` and `trees` share one driver that runs the
+routes --method names on each graph and compares their results.  A graph
+whose routes disagree (InternalInconsistency) or run out of precision gets
+an error record and the sweep goes on; its exit code is the worst over the
+range, with a consistency failure outranking a precision failure.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from .errors import (
     PrecisionExhausted,
     QuadratureFailure,
 )
-from .igraph import normalize
+from .igraph import DENSE_CEILING, normalize
 from .jacobian import (
     LAPLACIAN_GATE,
     jacobian_via_companion,
@@ -49,7 +51,6 @@ from .jacobian import (
     rank_bounds_report,
 )
 from .treecount import (
-    TreeCountMethod,
     check_lower_bound,
     decompose,
     tree_count_chebyshev,
@@ -82,12 +83,8 @@ def _parse_range(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"bad value {text!r}; expected int or a..b")
 
 
-def _emit(record: dict, as_json: bool, text: str, out=None):
-    stream = out or sys.stdout
-    if as_json:
-        print(json.dumps(record), file=stream)
-    else:
-        print(text, file=stream)
+def _emit(record: dict, as_json: bool, text: str):
+    print(json.dumps(record) if as_json else text)
 
 
 def _error_record(n: int, k: int, l: int, exc: Exception) -> dict:
@@ -97,12 +94,88 @@ def _error_record(n: int, k: int, l: int, exc: Exception) -> dict:
     return rec
 
 
+# Each graph command computes one invariant by several routes.  The calls look
+# the function up when they run, so a rebound module attribute is honoured.
+ROUTES = {
+    "jacobian": {
+        "companion": lambda args, p: jacobian_via_companion(p),
+        "laplacian": lambda args, p: jacobian_via_laplacian(p),
+    },
+    "trees": {
+        "chebyshev": lambda args, p: tree_count_chebyshev(p, precision_bits=args.precision),
+        "kirchhoff": lambda args, p: tree_count_kirchhoff(p),
+        "resultant": lambda args, p: tree_count_resultant(p),
+    },
+}
+AUTO_ROUTES = {"jacobian": ("laplacian", "companion"), "trees": ("kirchhoff", "resultant")}
+DENSE_ROUTES = {"laplacian", "kirchhoff"}  # they build the 2n x 2n Laplacian
+
+
+def _route_names(args, n: int) -> list[str]:
+    if args.method == "auto":
+        return [AUTO_ROUTES[args.command][n > LAPLACIAN_GATE]]
+    if args.method in ("both", "all"):
+        return sorted(ROUTES[args.command])
+    return [args.method]
+
+
+# Per-command part of a record: its fields (with "checks") and its text line.
+def _jacobian_summary(p, group) -> tuple[dict, str]:
+    bounds = rank_bounds_report(p, group)
+    text = (
+        f"{p}  torsion={list(group.torsion)}  free_rank={group.free_rank}"
+        f"  tau={group.order}  rank={group.rank} in [2,{bounds['upper']}]"
+    )
+    return {
+        "torsion": [str(d) for d in group.torsion],
+        "free_rank": group.free_rank,
+        "tau": str(group.order),
+        "checks": {"rank_lower": bounds["lower_ok"], "rank_upper": bounds["upper_ok"]},
+    }, text
+
+
+def _trees_summary(p, count) -> tuple[dict, str]:
+    dec = decompose(count, p)
+    checks = {"divisible_by_n": count.tau % p.n == 0, "cube_bound": check_lower_bound(p, count)}
+    text = (
+        f"{p}  tau={count.tau} = {dec.multiplier}*{p.n}*{dec.a}^2"
+        f"  div_n={checks['divisible_by_n']}  cube={checks['cube_bound']}"
+    )
+    fields = {"tau": str(count.tau), "a": str(dec.a), "multiplier": dec.multiplier}
+    return {**fields, "checks": checks}, text
+
+
+SUMMARIES = {"jacobian": _jacobian_summary, "trees": _trees_summary}
+
+
+def _run_graph(args, p) -> int:
+    """Run the chosen routes on one graph, check they agree, emit the record."""
+    results, timings = {}, {}
+    for name in _route_names(args, p.n):
+        t0 = time.perf_counter()
+        results[name] = ROUTES[args.command][name](args, p)
+        timings[name] = round((time.perf_counter() - t0) * 1000, 3)
+    if len(set(results.values())) > 1:
+        values = ", ".join(f"{name}={value}" for name, value in results.items())
+        raise InternalInconsistency(f"routes disagree: {values}")
+    fields, text = SUMMARIES[args.command](p, next(iter(results.values())))
+    rec = {"params": {"n": p.n, "k": p.k, "l": p.l}, **fields}
+    rec.update(methods_used=sorted(results), timings_ms=timings)
+    _emit(rec, args.json, text)
+    return EXIT_OK if all(fields["checks"].values()) else EXIT_INCONSISTENT
+
+
 def _sweep(args) -> int:
-    """Call args.run(args, params) for each n of the range; return the worst status.
+    """Run one graph command over the range of n; return the worst status.
 
     Degenerate parameters get a skip record, and a graph whose computation
     fails gets an error record; either way the sweep goes on to the next n.
+    A dense route asked for above DENSE_CEILING fails the whole command
+    before any record, so that no sweep stops halfway.
     """
+    top = max(args.n)
+    if top > DENSE_CEILING and DENSE_ROUTES.intersection(_route_names(args, top)):
+        raise InvalidParams(f"--method {args.method} is capped at n = {DENSE_CEILING}, got {top}")
     status = EXIT_OK
     for n in args.n:
         try:
@@ -112,105 +185,13 @@ def _sweep(args) -> int:
             _emit(rec, args.json, f"I({n},{args.k},{args.l})  skipped: {rec['detail']}")
             continue
         try:
-            code = args.run(args, p)
+            code = _run_graph(args, p)
         except PRECISION_ERRORS + (InternalInconsistency,) as exc:
             code = EXIT_PRECISION if isinstance(exc, PRECISION_ERRORS) else EXIT_INCONSISTENT
             rec = _error_record(p.n, p.k, p.l, exc)
             _emit(rec, args.json, f"{p}  failed: {rec['error']}: {rec['detail']}")
         status = max(status, code, key=SEVERITY.index)
     return status
-
-
-def cmd_jacobian(args, p) -> int:
-    method = args.method
-    if method == "auto":
-        method = "companion" if p.n > LAPLACIAN_GATE else "laplacian"
-    timings: dict[str, float] = {}
-    groups = {}
-    if method in ("companion", "both"):
-        t0 = time.perf_counter()
-        groups["companion"] = jacobian_via_companion(p)
-        timings["companion"] = round((time.perf_counter() - t0) * 1000, 3)
-    if method in ("laplacian", "both"):
-        t0 = time.perf_counter()
-        groups["laplacian"] = jacobian_via_laplacian(p, allow_large=True)
-        timings["laplacian"] = round((time.perf_counter() - t0) * 1000, 3)
-    if len(groups) == 2 and groups["companion"] != groups["laplacian"]:
-        rec = {
-            "params": {"n": p.n, "k": p.k, "l": p.l},
-            "error": "InternalInconsistency",
-            "detail": "companion and laplacian routes disagree",
-            "companion": [str(d) for d in groups["companion"].torsion],
-            "laplacian": [str(d) for d in groups["laplacian"].torsion],
-        }
-        _emit(rec, args.json, f"{p}  METHODS DISAGREE: {rec['companion']} vs {rec['laplacian']}")
-        return EXIT_INCONSISTENT
-    group = next(iter(groups.values()))
-    bounds = rank_bounds_report(p, group)
-    rec = {
-        "params": {"n": p.n, "k": p.k, "l": p.l},
-        "torsion": [str(d) for d in group.torsion],
-        "free_rank": group.free_rank,
-        "tau": str(group.order),
-        "checks": {"rank_lower": bounds["lower_ok"], "rank_upper": bounds["upper_ok"]},
-        "methods_used": sorted(groups),
-        "timings_ms": timings,
-    }
-    text = (
-        f"{p}  torsion={list(group.torsion)}  free_rank={group.free_rank}"
-        f"  tau={group.order}  rank={group.rank} in [2,{bounds['upper']}]"
-    )
-    _emit(rec, args.json, text)
-    return EXIT_OK if bounds["lower_ok"] and bounds["upper_ok"] else EXIT_INCONSISTENT
-
-
-def cmd_trees(args, p) -> int:
-    method = args.method
-    if method == "auto":
-        method = "resultant" if p.n > LAPLACIAN_GATE else "kirchhoff"
-    timings: dict[str, float] = {}
-    counts = {}
-    wanted = [m.value for m in TreeCountMethod] if method == "all" else [method]
-    for name in wanted:
-        t0 = time.perf_counter()
-        if name == "kirchhoff":
-            counts[name] = tree_count_kirchhoff(p)
-        elif name == "resultant":
-            counts[name] = tree_count_resultant(p)
-        else:
-            counts[name] = tree_count_chebyshev(p, precision_bits=args.precision)
-        timings[name] = round((time.perf_counter() - t0) * 1000, 3)
-    values = {c.tau for c in counts.values()}
-    if len(values) != 1:
-        rec = {
-            "params": {"n": p.n, "k": p.k, "l": p.l},
-            "error": "InternalInconsistency",
-            "detail": "tree count methods disagree",
-            "counts": {name: str(c.tau) for name, c in counts.items()},
-        }
-        _emit(rec, args.json, f"{p}  METHODS DISAGREE: {rec['counts']}")
-        return EXIT_INCONSISTENT
-    count = next(iter(counts.values()))
-    dec = decompose(count, p)
-    checks = {
-        "divisible_by_n": count.tau % p.n == 0,
-        "cube_bound": check_lower_bound(p, count),
-    }
-    rec = {
-        "params": {"n": p.n, "k": p.k, "l": p.l},
-        "tau": str(count.tau),
-        "a": str(dec.a),
-        "multiplier": dec.multiplier,
-        "checks": checks,
-        "methods_used": sorted(counts),
-        "timings_ms": timings,
-    }
-    text = (
-        f"{p}  tau={count.tau} = {dec.multiplier}*{p.n}*{dec.a}^2"
-        f"  div_n={checks['divisible_by_n']}  cube={checks['cube_bound']}"
-    )
-    _emit(rec, args.json, text)
-    return EXIT_OK if all(checks.values()) else EXIT_INCONSISTENT
 
 
 def _justified(approx) -> str:
@@ -346,32 +327,25 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_jac = sub.add_parser("jacobian", help="invariant factors of the Jacobian group")
-    p_jac.add_argument("--n", type=_parse_range, required=True, help="single value or range a..b")
-    p_jac.add_argument("--k", type=int, required=True)
-    p_jac.add_argument("--l", type=int, required=True)
-    p_jac.add_argument(
-        "--method",
-        choices=["companion", "laplacian", "both", "auto"],
-        default="auto",
-        help="auto picks laplacian for n <= %d, companion above" % LAPLACIAN_GATE,
-    )
-    p_jac.add_argument("--json", action="store_true")
-    p_jac.set_defaults(func=_sweep, run=cmd_jacobian)
-
-    p_trees = sub.add_parser("trees", help="spanning tree counts")
-    p_trees.add_argument("--n", type=_parse_range, required=True, help="single value or range a..b")
-    p_trees.add_argument("--k", type=int, required=True)
-    p_trees.add_argument("--l", type=int, required=True)
-    p_trees.add_argument(
-        "--method",
-        choices=["kirchhoff", "resultant", "chebyshev", "all", "auto"],
-        default="auto",
-        help="auto picks kirchhoff for n <= %d, resultant above" % LAPLACIAN_GATE,
-    )
-    p_trees.add_argument("--precision", type=int, default=DEFAULT_PRECISION)
-    p_trees.add_argument("--json", action="store_true")
-    p_trees.set_defaults(func=_sweep, run=cmd_trees)
+    for command, every, help_text in (
+        ("jacobian", "both", "invariant factors of the Jacobian group"),
+        ("trees", "all", "spanning tree counts"),
+    ):
+        small, large = AUTO_ROUTES[command]
+        p_graph = sub.add_parser(command, help=help_text)
+        p_graph.add_argument("--n", type=_parse_range, required=True, help="single value or range a..b")
+        p_graph.add_argument("--k", type=int, required=True)
+        p_graph.add_argument("--l", type=int, required=True)
+        p_graph.add_argument(
+            "--method",
+            choices=[*ROUTES[command], every, "auto"],
+            default="auto",
+            help=f"auto picks {small} for n <= {LAPLACIAN_GATE}, {large} above",
+        )
+        p_graph.add_argument("--json", action="store_true")
+        if command == "trees":
+            p_graph.add_argument("--precision", type=int, default=DEFAULT_PRECISION)
+        p_graph.set_defaults(func=_sweep)
 
     p_asym = sub.add_parser("asymptotic", help="tree-growth constant A(k,l)")
     p_asym.add_argument("--k", type=int, required=True)

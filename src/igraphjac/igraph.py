@@ -16,6 +16,8 @@ from .bigmat import IntMatrix
 from .errors import DisconnectedError, InvalidParams, LoopError
 
 DEGREE = 3
+# Largest n for the dense 2n x 2n matrices (33 MB of Laplacian at n = 400)
+DENSE_CEILING = 400
 
 
 @dataclass(frozen=True)
@@ -97,6 +99,8 @@ def _circulant_sum(n: int, step: int) -> list[list[int]]:
 def adjacency_matrix(p: GraphParams) -> IntMatrix:
     """2n x 2n adjacency matrix in block form [[C_n^k, I], [I, C_n^l]]."""
     n = p.n
+    if n > DENSE_CEILING:
+        raise InvalidParams(f"n={n} exceeds the dense matrix ceiling ({DENSE_CEILING})")
     top = _circulant_sum(n, p.k)
     bottom = _circulant_sum(n, p.l)
     rows = []

@@ -16,12 +16,12 @@ from dataclasses import dataclass
 from math import prod
 
 from .bigmat import IntMatrix, SmithForm, determinant, smith_normal_form
-from .errors import InternalInconsistency, InvalidParams
+from .errors import InternalInconsistency
 from .igraph import GraphParams, laplacian_matrix
 from .polyring import presentation_matrix, spectral_poly
 
-# Above this size the Laplacian route is an oracle, not a default: callers
-# must opt in explicitly.
+# Above this n the command line's auto method leaves the dense Laplacian
+# routes for the ring-kernel ones.
 LAPLACIAN_GATE = 60
 
 
@@ -68,13 +68,8 @@ def group_from_smith(sf: SmithForm) -> AbelianGroup:
     )
 
 
-def jacobian_via_laplacian(p: GraphParams, *, allow_large: bool = False) -> AbelianGroup:
-    """Torsion of coker(L) straight from the Laplacian Smith normal form."""
-    if p.n > LAPLACIAN_GATE and not allow_large:
-        raise InvalidParams(
-            f"n={p.n} exceeds the Laplacian oracle gate ({LAPLACIAN_GATE}); "
-            "use jacobian_via_companion or pass allow_large=True"
-        )
+def jacobian_via_laplacian(p: GraphParams) -> AbelianGroup:
+    """Torsion of coker(L) from the Laplacian Smith form; InvalidParams above DENSE_CEILING."""
     return group_from_smith(smith_normal_form(laplacian_matrix(p)))
 
 

@@ -20,7 +20,6 @@ value of P(-1) is 24 (both steps odd), 1 otherwise.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
@@ -37,16 +36,9 @@ from .polyring import chebyshev_quotient, chebyshev_t, presentation_matrix, spec
 ROUNDING_GUARD = 0.25
 
 
-class TreeCountMethod(str, Enum):
-    KIRCHHOFF = "kirchhoff"
-    RESULTANT = "resultant"
-    CHEBYSHEV = "chebyshev"
-
-
 @dataclass(frozen=True)
 class TreeCount:
     tau: int
-    method: TreeCountMethod
 
 
 @dataclass(frozen=True)
@@ -63,13 +55,13 @@ def _sign(p: GraphParams) -> int:
 
 def tree_count_kirchhoff(p: GraphParams) -> TreeCount:
     """Spanning trees as the determinant of the Laplacian with row and
-    column 0 deleted."""
+    column 0 deleted; raises InvalidParams above igraph.DENSE_CEILING."""
     lap = laplacian_matrix(p).to_lists()
     minor = IntMatrix([row[1:] for row in lap[1:]])
     det = determinant(minor)
     if det <= 0:
         raise InternalInconsistency(f"matrix-tree minor determinant {det} is not positive")
-    return TreeCount(det, TreeCountMethod.KIRCHHOFF)
+    return TreeCount(det)
 
 
 def tree_count_resultant(p: GraphParams) -> TreeCount:
@@ -90,7 +82,7 @@ def tree_count_resultant(p: GraphParams) -> TreeCount:
             f"n * |Res(Q, z^n - 1)| = {p.n * abs(res)} is not a positive "
             f"multiple of k^2 + l^2 = {p.k * p.k + p.l * p.l}"
         )
-    return TreeCount(tau, TreeCountMethod.RESULTANT)
+    return TreeCount(tau)
 
 
 @lru_cache(maxsize=None)
@@ -128,7 +120,7 @@ def tree_count_chebyshev(p: GraphParams, precision_bits: int = DEFAULT_PRECISION
         tau = int(mpmath.nint(value))
     if tau <= 0:
         raise PrecisionExhausted(f"rounded count {tau} is not positive")
-    return TreeCount(tau, TreeCountMethod.CHEBYSHEV)
+    return TreeCount(tau)
 
 
 def decompose(t: TreeCount, p: GraphParams) -> Decomposition:

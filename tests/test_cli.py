@@ -2,7 +2,15 @@ import json
 
 import pytest
 
-from igraphjac import InternalInconsistency
+from igraphjac import (
+    DENSE_CEILING,
+    AbelianGroup,
+    GraphParams,
+    InternalInconsistency,
+    TreeCount,
+    jacobian_via_laplacian,
+    tree_count_kirchhoff,
+)
 from igraphjac import cli
 from igraphjac.cli import EXIT_INCONSISTENT, EXIT_OK, EXIT_PRECISION, EXIT_USAGE, main
 
@@ -58,6 +66,27 @@ class TestJacobianCommand:
         assert code == EXIT_OK
         for rec in records:
             assert rec["methods_used"] == ["companion", "laplacian"]
+
+    def test_disagreeing_routes_give_error_records(self, capsys, monkeypatch):
+        companion = cli.jacobian_via_companion
+
+        def off_by_n(p):
+            g = companion(p)
+            return AbelianGroup(g.torsion[:-1] + (g.torsion[-1] * p.n,), g.free_rank)
+
+        monkeypatch.setattr(cli, "jacobian_via_companion", off_by_n)
+        code, records = run_json_lines(
+            capsys,
+            ["jacobian", "--n", "10..12", "--k", "2", "--l", "3", "--method", "both", "--json"],
+        )
+        assert code == EXIT_INCONSISTENT
+        assert [rec["params"]["n"] for rec in records] == [10, 11, 12]
+        for rec in records:
+            assert rec["error"] == "InternalInconsistency"
+            assert rec["detail"].startswith("routes disagree: ")
+            p = GraphParams(rec["params"]["n"], 2, 3)
+            for name, route in (("companion", off_by_n), ("laplacian", jacobian_via_laplacian)):
+                assert f"{name}={route(p)}" in rec["detail"]
 
     def test_text_mode(self, capsys):
         code = main(["jacobian", "--n", "5", "--k", "1", "--l", "2"])
@@ -127,6 +156,32 @@ class TestTreesCommand:
         assert code == EXIT_INCONSISTENT
         assert records[1]["error"] == "InternalInconsistency"
         assert len(records) == 16
+
+    def test_disagreeing_routes_give_error_records(self, capsys, monkeypatch):
+        resultant = cli.tree_count_resultant
+        monkeypatch.setattr(cli, "tree_count_resultant", lambda p: TreeCount(resultant(p).tau + p.n))
+        code, records = run_json_lines(
+            capsys,
+            ["trees", "--n", "10..12", "--k", "2", "--l", "3", "--method", "all", "--json"],
+        )
+        assert code == EXIT_INCONSISTENT
+        assert [rec["params"]["n"] for rec in records] == [10, 11, 12]
+        for rec in records:
+            assert rec["error"] == "InternalInconsistency"
+            n = rec["params"]["n"]
+            tau = tree_count_kirchhoff(GraphParams(n, 2, 3)).tau
+            for value in (f"chebyshev={TreeCount(tau)}", f"kirchhoff={TreeCount(tau)}",
+                          f"resultant={TreeCount(tau + n)}"):
+                assert value in rec["detail"]
+
+    def test_dense_route_above_ceiling_is_usage_error(self, capsys):
+        # the whole command fails up front: no sweep stops halfway
+        code = main(["trees", "--n", "395..405", "--k", "2", "--l", "3",
+                     "--method", "kirchhoff", "--json"])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert captured.out == ""
+        assert f"capped at n = {DENSE_CEILING}" in captured.err
 
     def test_counts_beyond_default_digit_limit(self, capsys):
         # tau(I(8000,1,1)) has 4580 digits, past Python's 4300-digit default

@@ -2,6 +2,7 @@ import pytest
 
 import helpers
 from igraphjac import (
+    DENSE_CEILING,
     LAPLACIAN_GATE,
     AbelianGroup,
     GraphParams,
@@ -12,6 +13,7 @@ from igraphjac import (
     jacobian_via_companion,
     jacobian_via_laplacian,
     rank_bounds_report,
+    tree_count_kirchhoff,
 )
 
 
@@ -70,11 +72,14 @@ def test_known_groups_both_routes(params, torsion):
 
 
 def test_laplacian_gate():
+    # the gate only steers the command line's auto method; the dense routes
+    # stop at the ceiling
     p = GraphParams(LAPLACIAN_GATE + 1, 2, 3)
-    with pytest.raises(InvalidParams):
-        jacobian_via_laplacian(p)
-    g = jacobian_via_laplacian(p, allow_large=True)
-    assert g == jacobian_via_companion(p)
+    assert jacobian_via_laplacian(p) == jacobian_via_companion(p)
+    big = GraphParams(DENSE_CEILING + 1, 2, 3)
+    for dense_route in (jacobian_via_laplacian, tree_count_kirchhoff):
+        with pytest.raises(InvalidParams, match="ceiling"):
+            dense_route(big)
 
 
 def test_order_counts_spanning_trees():

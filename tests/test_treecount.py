@@ -5,7 +5,6 @@ from igraphjac import (
     GraphParams,
     IntMatrix,
     PrecisionExhausted,
-    TreeCountMethod,
     check_lower_bound,
     decompose,
     determinant,
@@ -73,13 +72,6 @@ def test_large_n_subresultant_oracle(n, k, l):
         for j in corners:
             minor = [row[:j] + row[j + 1 :] for r, row in enumerate(m) if r != i]
             assert abs(determinant(IntMatrix(minor))) == tau
-
-
-def test_method_tags():
-    p = GraphParams(5, 1, 2)
-    assert tree_count_kirchhoff(p).method is TreeCountMethod.KIRCHHOFF
-    assert tree_count_resultant(p).method is TreeCountMethod.RESULTANT
-    assert tree_count_chebyshev(p).method is TreeCountMethod.CHEBYSHEV
 
 
 def test_chebyshev_needs_enough_bits():
