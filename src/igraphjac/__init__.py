@@ -29,10 +29,8 @@ from .jacobian import (
     rank_bounds_report,
 )
 from .polyring import (
-    IntLaurentPoly,
     IntPoly,
     chebyshev_quotient,
-    chebyshev_t,
     chebyshev_t_poly,
     presentation_matrix,
     spectral_poly,
@@ -43,7 +41,6 @@ from .treecount import (
     TreeCount,
     check_lower_bound,
     decompose,
-    sixfold_rule_report,
     tree_count_chebyshev,
     tree_count_kirchhoff,
     tree_count_resultant,

@@ -34,6 +34,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from .treecount import TreeCount
 
 DEFAULT_PRECISION = 256
+MIN_PRECISION = 32
 
 
 @dataclass(frozen=True)
@@ -104,8 +105,8 @@ def poly_roots(poly: IntPoly, precision_bits: int = DEFAULT_PRECISION) -> RootSe
     """All roots of an integer polynomial to roughly precision_bits accuracy."""
     if poly.is_zero:
         raise ZeroPolynomial("the zero polynomial has no finite root set")
-    if precision_bits < 32:
-        raise ValueError("precision_bits must be at least 32")
+    if precision_bits < MIN_PRECISION:
+        raise ValueError(f"precision_bits must be at least {MIN_PRECISION}")
     coeffs = list(poly.coeffs)
     zeros_at_origin = 0
     while coeffs[0] == 0:

@@ -29,6 +29,7 @@ import mpmath
 from . import __version__
 from .asymptotics import (
     DEFAULT_PRECISION,
+    MIN_PRECISION,
     asymptotic_ratio,
     mahler_constant,
     mahler_integral,
@@ -81,6 +82,16 @@ def _parse_range(text: str) -> list[int]:
         return [int(text)]
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad value {text!r}; expected int or a..b")
+
+
+def _parse_precision(text: str) -> int:
+    try:
+        bits = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad precision {text!r}; expected an int")
+    if bits < MIN_PRECISION:
+        raise argparse.ArgumentTypeError(f"precision {bits} is below {MIN_PRECISION} bits")
+    return bits
 
 
 def _emit(record: dict, as_json: bool, text: str):
@@ -273,14 +284,17 @@ def _table_jac_records(k: int, l: int, n_range) -> list[dict]:
 
 
 def cmd_table(args) -> int:
-    if args.which == "A":
-        records = _table_a_records()
-    elif args.which == "jac23":
-        records = _table_jac_records(2, 3, range(4, 36))
-    else:
-        records = _table_jac_records(3, 4, range(5, 26))
-    out = open(args.out, "w") if args.out else sys.stdout
     try:
+        out = open(args.out, "w") if args.out else sys.stdout
+    except OSError as exc:
+        raise InvalidParams(f"cannot write --out: {exc}")
+    try:
+        if args.which == "A":
+            records = _table_a_records()
+        elif args.which == "jac23":
+            records = _table_jac_records(2, 3, range(4, 36))
+        else:
+            records = _table_jac_records(3, 4, range(5, 26))
         if args.format == "json":
             for rec in records:
                 print(json.dumps(rec), file=out)
@@ -344,13 +358,13 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p_graph.add_argument("--json", action="store_true")
         if command == "trees":
-            p_graph.add_argument("--precision", type=int, default=DEFAULT_PRECISION)
+            p_graph.add_argument("--precision", type=_parse_precision, default=DEFAULT_PRECISION)
         p_graph.set_defaults(func=_sweep)
 
     p_asym = sub.add_parser("asymptotic", help="tree-growth constant A(k,l)")
     p_asym.add_argument("--k", type=int, required=True)
     p_asym.add_argument("--l", type=int, required=True)
-    p_asym.add_argument("--precision", type=int, default=DEFAULT_PRECISION)
+    p_asym.add_argument("--precision", type=_parse_precision, default=DEFAULT_PRECISION)
     p_asym.add_argument("--ratio-at", type=int, default=None, metavar="N")
     p_asym.add_argument("--json", action="store_true")
     p_asym.set_defaults(func=cmd_asymptotic)

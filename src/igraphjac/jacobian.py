@@ -1,7 +1,7 @@
 """Jacobian (critical) groups of I-graphs by two independent routes.
 
 Route one is the definition: Smith normal form of the 2n x 2n Laplacian.
-Route two compresses the cokernel first: with P the monic normalization of
+Route two compresses the cokernel first: with P the monic polynomial
 spectral_poly(k, l), coker(L) is isomorphic to Z[z]/(P, z^n - 1), which the
 2(k+l) x 2(k+l) matrix M of multiplication by z^n - 1 on Z[z]/(P) presents
 whatever the value of n.  M has rank 2(k+l) - 1 and each corner cofactor of
@@ -82,7 +82,7 @@ def jacobian_via_companion(p: GraphParams) -> AbelianGroup:
     come back as tau and the others must multiply to tau, a check the
     Bareiss determinant and the elimination share no code for.
     """
-    m = presentation_matrix(spectral_poly(p.k, p.l).to_poly(), p.n)
+    m = presentation_matrix(spectral_poly(p.k, p.l), p.n)
     tau = abs(determinant(IntMatrix([row[1:] for row in m.to_lists()[1:]])))
     if tau == 0:
         raise InternalInconsistency(f"corner cofactor of the presentation of {p} is 0")

@@ -1,26 +1,24 @@
-"""Exact integer (Laurent) polynomials and the family-specific constructions.
+"""Exact integer polynomials and the family-specific constructions.
 
-The central object is the bimonic Laurent polynomial
+The central object is the monic polynomial
 
-    spectral_poly(k, l) = (3 - z^k - z^-k)(3 - z^l - z^-l) - 1,
+    spectral_poly(k, l) = z^(k+l) ((3 - z^k - z^-k)(3 - z^l - z^-l) - 1),
 
-whose values at the n-th roots of unity multiply out to n times the spanning
-tree count of I(n, k, l).  Both exact large-n routes work in the ring
-Z[z]/(f) for its monic normalization f = z^(k+l) spectral_poly (or f divided
-by (z - 1)^2): presentation_matrix reduces z^n mod f by square-and-multiply
-and returns the matrix of multiplication by z^n - 1, whose cokernel and
-determinant give the Jacobian group and the tree count.  The Chebyshev
-substitution w = (z + 1/z)/2 gives the quotient whose roots both
-floating-point routes (the Chebyshev tree count and the growth constant)
-use.
+z^(k+l) times the Laurent polynomial P of the paper.  The values of P at the
+n-th roots of unity multiply out to n times the spanning tree count of
+I(n, k, l).  Both exact large-n routes work in the ring Z[z]/(f) for
+f = spectral_poly(k, l) (or f divided by (z - 1)^2): presentation_matrix
+reduces z^n mod f by square-and-multiply and returns the matrix of
+multiplication by z^n - 1, whose cokernel and determinant give the Jacobian
+group and the tree count.  The Chebyshev substitution w = (z + 1/z)/2 gives
+the quotient whose roots both floating-point routes (the Chebyshev tree
+count and the growth constant) use; the tree count evaluates T_n at those
+roots itself, so only the coefficients chebyshev_t_poly(n) live here.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
-
-import mpmath
 
 from .bigmat import IntMatrix
 from .errors import InternalInconsistency, InvalidParams, ZeroPolynomial
@@ -117,60 +115,6 @@ class IntPoly:
         return f"IntPoly({list(self.coeffs)!r})"
 
 
-class IntLaurentPoly:
-    """Integer Laurent polynomial: coeffs ascending from exponent ``lo``."""
-
-    __slots__ = ("lo", "coeffs")
-
-    def __init__(self, lo: int, coeffs):
-        cs = [c for c in coeffs]
-        for c in cs:
-            if not isinstance(c, int) or isinstance(c, bool):
-                raise TypeError("coefficients must be ints")
-        while cs and cs[-1] == 0:
-            cs.pop()
-        while cs and cs[0] == 0:
-            cs.pop(0)
-            lo += 1
-        if not cs:
-            lo, cs = 0, [0]
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    @property
-    def hi(self) -> int:
-        return self.lo + len(self.coeffs) - 1
-
-    @property
-    def is_zero(self) -> bool:
-        return self.coeffs == (0,)
-
-    def __call__(self, z):
-        if isinstance(z, int) and not isinstance(z, bool):
-            z = Fraction(z)
-        acc = 0 * z
-        for c in reversed(self.coeffs):
-            acc = acc * z + c
-        return acc * z**self.lo
-
-    def to_poly(self) -> IntPoly:
-        """The ordinary polynomial z^(-lo) * p, i.e. exponents reindexed from 0."""
-        return IntPoly(self.coeffs)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, IntLaurentPoly)
-            and self.lo == other.lo
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.lo, self.coeffs))
-
-    def __repr__(self):
-        return f"IntLaurentPoly(lo={self.lo}, coeffs={list(self.coeffs)!r})"
-
-
 def _check_steps(k: int, l: int):
     for name, v in (("k", k), ("l", l)):
         if not isinstance(v, int) or isinstance(v, bool) or v < 1:
@@ -179,23 +123,21 @@ def _check_steps(k: int, l: int):
         raise InvalidParams(f"steps must be coprime, got k={k}, l={l}")
 
 
-def spectral_poly(k: int, l: int) -> IntLaurentPoly:
-    """(3 - z^k - z^-k)(3 - z^l - z^-l) - 1, the eigenvalue-product polynomial.
+def spectral_poly(k: int, l: int) -> IntPoly:
+    """z^(k+l) ((3 - z^k - z^-k)(3 - z^l - z^-l) - 1), the eigenvalue-product polynomial.
 
-    Its value at each n-th root of unity is the product of the paired
-    Laplacian eigenvalues of I(n, k, l); it is bimonic of span 2(k+l), has a
-    double root at z = 1, and its second derivative there is -2(k^2 + l^2).
+    Divided by z^(k+l), its value at each n-th root of unity is the product
+    of the paired Laplacian eigenvalues of I(n, k, l).  It is monic and
+    palindromic of degree 2(k+l), has a double root at z = 1, and its second
+    derivative there is -2(k^2 + l^2).
     """
     _check_steps(k, l)
-    terms: dict[int, int] = {}
-    for e1, c1 in ((-k, -1), (0, 3), (k, -1)):
-        for e2, c2 in ((-l, -1), (0, 3), (l, -1)):
-            e = e1 + e2
-            terms[e] = terms.get(e, 0) + c1 * c2
-    terms[0] -= 1
-    lo = -(k + l)
-    hi = k + l
-    return IntLaurentPoly(lo, [terms.get(e, 0) for e in range(lo, hi + 1)])
+    coeffs = [0] * (2 * (k + l) + 1)
+    for e1, c1 in ((0, -1), (k, 3), (2 * k, -1)):
+        for e2, c2 in ((0, -1), (l, 3), (2 * l, -1)):
+            coeffs[e1 + e2] += c1 * c2
+    coeffs[k + l] -= 1
+    return IntPoly(coeffs)
 
 
 def _times_z(a: list[int], f: tuple[int, ...]) -> list[int]:
@@ -284,33 +226,3 @@ def chebyshev_quotient(k: int, l: int) -> IntPoly:
     if rem != 0:
         raise InternalInconsistency("w = 1 must be a root before deflation")
     return quot
-
-
-def _cheb_exact(n: int, x):
-    one = x - x + 1 if not isinstance(x, int) else 1
-    prev, cur = one, x * one
-    if n == 0:
-        return prev
-    for _ in range(n - 1):
-        prev, cur = cur, 2 * x * cur - prev
-    return cur
-
-
-def chebyshev_t(n: int, x):
-    """T_n(x), exact for int/Fraction input, mpmath otherwise.
-
-    The numeric branch uses ((x+s)^n + (x-s)^n)/2 with s = sqrt(x^2-1) away
-    from [-1, 1] and cos(n*acos x) inside it, at the caller's mp precision.
-    """
-    if n < 0:
-        raise InvalidParams("n must be nonnegative")
-    if isinstance(x, int) and not isinstance(x, bool) or isinstance(x, Fraction):
-        return _cheb_exact(n, x)
-    x = mpmath.mpmathify(x)
-    if isinstance(x, mpmath.mpc):
-        s = mpmath.sqrt(x * x - 1)
-        return ((x + s) ** n + (x - s) ** n) / 2
-    if -1 <= x <= 1:
-        return mpmath.cos(n * mpmath.acos(x))
-    s = mpmath.sqrt(x * x - 1)
-    return ((x + s) ** n + (x - s) ** n) / 2

@@ -3,14 +3,17 @@
 kirchhoff  - determinant of a principal Laplacian minor (matrix-tree); exact,
              the small-n oracle.
 resultant  - tau = n |Res(Q, z^n - 1)| / (k^2 + l^2) with Q = z^(k+l) P / (z-1)^2
-             and P = spectral_poly(k, l); the resultant is the determinant of
+             = spectral_poly(k, l) / (z-1)^2, P the paper's Laurent
+             polynomial; the resultant is the determinant of
              multiplication by z^n - 1 on Z[z]/(Q), built from z^n mod Q in
              O(log n) ring products.  Exact for any n, and the default for
              large n.
 chebyshev  - tau = (-1)^((n-1)(k+l)) n prod_s (T_n(w_s) - 1)/(w_s - 1) over
-             the roots w_s of chebyshev_quotient(k, l); floating point with a
-             rounding guard, mainly a numerically independent cross-check.
-             The growth constant in asymptotics reads the same roots.
+             the roots w_s of chebyshev_quotient(k, l), with T_n(w) evaluated
+             in place as ((w + s)^n + (w - s)^n)/2, s = sqrt(w^2 - 1);
+             floating point with a rounding guard, mainly a numerically
+             independent cross-check.  The growth constant in asymptotics
+             reads the same roots and the same s.
 
 Every count tau is divisible by n, is at least n^3, and splits as
 tau = multiplier * n * a^2 with multiplier 6 when n is even and the exact
@@ -20,7 +23,6 @@ value of P(-1) is 24 (both steps odd), 1 otherwise.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
 
@@ -31,7 +33,7 @@ from .asymptotics import DEFAULT_PRECISION, poly_roots
 from .bigmat import IntMatrix, determinant
 from .errors import InternalInconsistency, NotASquare, PrecisionExhausted
 from .igraph import GraphParams, laplacian_matrix
-from .polyring import chebyshev_quotient, chebyshev_t, presentation_matrix, spectral_poly
+from .polyring import chebyshev_quotient, presentation_matrix, spectral_poly
 
 ROUNDING_GUARD = 0.25
 
@@ -70,7 +72,7 @@ def tree_count_resultant(p: GraphParams) -> TreeCount:
     n tau is the product of P over the nontrivial n-th roots of unity, which
     is n^2 Res(Q, z^n - 1) / Q(1) up to sign, and Q(1) = -(k^2 + l^2).
     """
-    q = spectral_poly(p.k, p.l).to_poly()
+    q = spectral_poly(p.k, p.l)
     for _ in range(2):
         q, rem = q.deflate(1)
         if rem:
@@ -101,7 +103,10 @@ def tree_count_chebyshev(p: GraphParams, precision_bits: int = DEFAULT_PRECISION
     with mp.workprec(precision_bits + 64):
         acc = mp.mpc(1)
         for w in roots:
-            acc *= (chebyshev_t(p.n, mp.mpc(w)) - 1) / (w - 1)
+            w = mp.mpc(w)
+            s = mpmath.sqrt(w * w - 1)
+            t_n = ((w + s) ** p.n + (w - s) ** p.n) / 2
+            acc *= (t_n - 1) / (w - 1)
         signed = _sign(p) * p.n * acc
         value = mp.re(signed)
         distance = max(abs(value - mpmath.nint(value)), abs(mp.im(signed)))
@@ -126,10 +131,11 @@ def tree_count_chebyshev(p: GraphParams, precision_bits: int = DEFAULT_PRECISION
 def decompose(t: TreeCount, p: GraphParams) -> Decomposition:
     """Split tau as multiplier * n * a^2 with an exactness guarantee.
 
-    The multiplier comes from the exact value of spectral_poly at z = -1:
-    24 there (both steps odd) combines with even n to force the factor 6.
+    The multiplier comes from the exact value of P at z = -1, read off the
+    monic form as (-1)^(k+l) spectral_poly(k, l)(-1): 24 there (both steps
+    odd) combines with even n to force the factor 6.
     """
-    value_at_minus_one = spectral_poly(p.k, p.l)(Fraction(-1))
+    value_at_minus_one = (-1) ** (p.k + p.l) * spectral_poly(p.k, p.l)(-1)
     if value_at_minus_one not in (4, 24):
         raise InternalInconsistency(
             f"spectral polynomial at -1 must be 4 or 24, got {value_at_minus_one}"
@@ -149,45 +155,3 @@ def decompose(t: TreeCount, p: GraphParams) -> Decomposition:
 def check_lower_bound(p: GraphParams, t: TreeCount) -> bool:
     """tau(n) >= n^3 for every connected I-graph."""
     return t.tau >= p.n**3
-
-
-def sixfold_rule_report(samples) -> dict:
-    """Which parity rule governs the multiplier 6 on even n?
-
-    Published statements of the square split disagree on whether the factor 6
-    attaches to even or odd k+l; the exact P(-1) criterion settles it.  Given
-    (GraphParams, Decomposition) pairs, tally the even-n cases and report
-    which labeling the data supports.
-    """
-    even_sum_six = even_sum_one = odd_sum_six = odd_sum_one = 0
-    conflicts = []
-    for p, dec in samples:
-        if p.n % 2:
-            if dec.multiplier != 1:
-                conflicts.append((p, dec.multiplier))
-            continue
-        if (p.k + p.l) % 2 == 0:
-            if dec.multiplier == 6:
-                even_sum_six += 1
-            else:
-                even_sum_one += 1
-        else:
-            if dec.multiplier == 6:
-                odd_sum_six += 1
-            else:
-                odd_sum_one += 1
-    supports_even_sum = even_sum_one == 0 and odd_sum_six == 0
-    supports_odd_sum = even_sum_six == 0 and odd_sum_one == 0
-    if supports_even_sum and not supports_odd_sum:
-        rule = "multiplier 6 iff n even and k+l even"
-    elif supports_odd_sum and not supports_even_sum:
-        rule = "multiplier 6 iff n even and k+l odd"
-    else:
-        rule = "inconclusive"
-    return {
-        "rule": rule,
-        "even_n_cases": even_sum_six + even_sum_one + odd_sum_six + odd_sum_one,
-        "six_with_even_sum": even_sum_six,
-        "six_with_odd_sum": odd_sum_six,
-        "odd_n_conflicts": conflicts,
-    }

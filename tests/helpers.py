@@ -5,7 +5,9 @@ determinants run over Fractions, tree counts come from deletion and
 contraction or from a plain Gaussian Kirchhoff minor, and resultants are
 Sylvester determinants or the subresultant PRS.  The companion matrix and
 its powers present Z[z]/(f, z^n - 1) the way the ring kernel's
-square-and-multiply does not.  Slow is fine; these only certify.
+square-and-multiply does not; the Chebyshev values come from three-term
+recurrences.  Slow is fine; these only certify.  sixfold_rule_report is the
+diagnostic that tallies square decompositions by parity.
 """
 
 from fractions import Fraction
@@ -13,7 +15,6 @@ from math import gcd
 
 from igraphjac import (
     DimensionMismatch,
-    IntLaurentPoly,
     IntMatrix,
     IntPoly,
     ZeroPolynomial,
@@ -39,21 +40,23 @@ def shifted(poly, m):
 
 
 def is_bimonic(p):
-    """Both extreme coefficients of a Laurent polynomial equal to 1."""
+    """Degree at least 1 and both extreme coefficients of an IntPoly equal to 1."""
     return len(p.coeffs) >= 2 and p.coeffs[0] == 1 and p.coeffs[-1] == 1
 
 
 def derivative(p):
-    """Formal derivative of an IntLaurentPoly."""
-    terms = {}
-    for i, c in enumerate(p.coeffs):
-        e = p.lo + i
-        if c and e:
-            terms[e - 1] = c * e
-    if not terms:
-        return IntLaurentPoly(0, [0])
-    lo, hi = min(terms), max(terms)
-    return IntLaurentPoly(lo, [terms.get(e, 0) for e in range(lo, hi + 1)])
+    """Formal derivative of an IntPoly."""
+    return IntPoly([i * c for i, c in enumerate(p.coeffs)][1:] or [0])
+
+
+def chebyshev_t(n, x):
+    """T_n(x) by the three-term recurrence, exact for int/Fraction x."""
+    prev, cur = 1, x
+    if n == 0:
+        return prev
+    for _ in range(n - 1):
+        prev, cur = cur, 2 * x * cur - prev
+    return cur
 
 
 def chebyshev_u(n, x):
@@ -254,8 +257,8 @@ def mat_pow(m, e):
 
 
 def companion_matrix(p):
-    """Companion matrix of the monic normalization of a bimonic Laurent
-    polynomial: ones on the superdiagonal, minus the coefficients below."""
+    """Companion matrix of a bimonic IntPoly such as spectral_poly(k, l):
+    ones on the superdiagonal, minus the coefficients below."""
     if not is_bimonic(p):
         raise ValueError(f"extreme coefficients must be 1, got {p.coeffs[0]}, {p.coeffs[-1]}")
     s = len(p.coeffs) - 1
@@ -362,8 +365,50 @@ def resultant(f, g):
 
 def tree_count_subresultant(n, k, l):
     """tau(I(n,k,l)) = (-1)^((n-1)(k+l)) Res(1 + z + ... + z^(n-1), z^(k+l) P) / n
-    for P = spectral_poly(k, l), by the subresultant PRS."""
-    res = resultant(all_ones_poly(n), spectral_poly(k, l).to_poly())
+    for z^(k+l) P = spectral_poly(k, l), by the subresultant PRS."""
+    res = resultant(all_ones_poly(n), spectral_poly(k, l))
     tau, rem = divmod(-res if ((n - 1) * (k + l)) % 2 else res, n)
     assert rem == 0 and tau > 0
     return tau
+
+
+def sixfold_rule_report(samples):
+    """Which parity rule governs the multiplier 6 on even n?
+
+    Published statements of the square split disagree on whether the factor 6
+    attaches to even or odd k+l; the exact P(-1) criterion settles it.  Given
+    (GraphParams, Decomposition) pairs, tally the even-n cases and report
+    which labeling the data supports.
+    """
+    even_sum_six = even_sum_one = odd_sum_six = odd_sum_one = 0
+    conflicts = []
+    for p, dec in samples:
+        if p.n % 2:
+            if dec.multiplier != 1:
+                conflicts.append((p, dec.multiplier))
+            continue
+        if (p.k + p.l) % 2 == 0:
+            if dec.multiplier == 6:
+                even_sum_six += 1
+            else:
+                even_sum_one += 1
+        else:
+            if dec.multiplier == 6:
+                odd_sum_six += 1
+            else:
+                odd_sum_one += 1
+    supports_even_sum = even_sum_one == 0 and odd_sum_six == 0
+    supports_odd_sum = even_sum_six == 0 and odd_sum_one == 0
+    if supports_even_sum and not supports_odd_sum:
+        rule = "multiplier 6 iff n even and k+l even"
+    elif supports_odd_sum and not supports_even_sum:
+        rule = "multiplier 6 iff n even and k+l odd"
+    else:
+        rule = "inconclusive"
+    return {
+        "rule": rule,
+        "even_n_cases": even_sum_six + even_sum_one + odd_sum_six + odd_sum_one,
+        "six_with_even_sum": even_sum_six,
+        "six_with_odd_sum": odd_sum_six,
+        "odd_n_conflicts": conflicts,
+    }

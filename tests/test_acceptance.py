@@ -24,7 +24,6 @@ from igraphjac import (
     mahler_integral,
     normalize,
     rank_bounds_report,
-    sixfold_rule_report,
     tree_count_resultant,
 )
 from igraphjac.cli import EXIT_OK, main
@@ -154,7 +153,7 @@ def test_criterion_5_square_decomposition(capsys, oracle_grid):
             expected = 6 if (p.n % 2 == 0 and p.k % 2 and p.l % 2) else 1
             assert dec.multiplier == expected
             samples.append((p, dec))
-        report = sixfold_rule_report(samples)
+        report = helpers.sixfold_rule_report(samples)
         assert report["rule"] == "multiplier 6 iff n even and k+l even"
         assert report["odd_n_conflicts"] == []
         assert report["six_with_even_sum"] > 0

@@ -69,12 +69,12 @@ class TestPolyRoots:
 
     def test_double_root_at_one_from_spectral_poly(self):
         # multiplicity 2 halves the attainable accuracy but must still land
-        rset = poly_roots(spectral_poly(2, 3).to_poly(), precision_bits=256)
+        rset = poly_roots(spectral_poly(2, 3), precision_bits=256)
         near_one = [z for z in rset.roots if abs(z - 1) < mpmath.mpf("1e-10")]
         assert len(near_one) == 2
 
     def test_reciprocal_pairing(self):
-        rset = poly_roots(spectral_poly(2, 3).to_poly(), precision_bits=192)
+        rset = poly_roots(spectral_poly(2, 3), precision_bits=192)
         with mpmath.workprec(256):
             radii = sorted(abs(z) for z in rset.roots)
             # the double root at 1 is only good to half precision
@@ -125,7 +125,7 @@ class TestMahlerConstant:
     def test_quotient_root_correspondence(self):
         # outside roots map to Q's roots through w = (z + 1/z) / 2, the
         # correspondence mahler_constant inverts
-        rset = poly_roots(spectral_poly(2, 3).to_poly(), precision_bits=192)
+        rset = poly_roots(spectral_poly(2, 3), precision_bits=192)
         with mpmath.workprec(256):
             mapped = sorted(
                 mpmath.re((z + 1 / z) / 2)

@@ -291,6 +291,16 @@ class TestTableCommand:
         assert lines[0] == "n,torsion,tau"
         assert len(lines) == 33
 
+    def test_unwritable_out_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        # the path is checked before any record is computed
+        monkeypatch.setattr(cli, "_table_jac_records", lambda *a: pytest.fail("computed records"))
+        target = tmp_path / "missing" / "t.csv"
+        code = main(["table", "--which", "jac23", "--format", "csv", "--out", str(target)])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert captured.out == ""
+        assert "cannot write --out" in captured.err
+
 
 class TestErrorsAndUsage:
     def test_bad_range_is_usage_error(self, capsys):
@@ -307,6 +317,19 @@ class TestErrorsAndUsage:
         with pytest.raises(SystemExit) as info:
             main([])
         assert info.value.code == EXIT_USAGE
+
+    @pytest.mark.parametrize("argv", [
+        ["asymptotic", "--k", "2", "--l", "3", "--precision", "16"],
+        ["trees", "--n", "5..6", "--k", "2", "--l", "3", "--method", "chebyshev", "--precision", "8"],
+        ["trees", "--n", "5", "--k", "2", "--l", "3", "--precision", "many"],
+    ], ids=["asymptotic-16", "trees-8", "trees-not-int"])
+    def test_bad_precision_is_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        captured = capsys.readouterr()
+        assert info.value.code == EXIT_USAGE
+        assert captured.out == ""
+        assert "--precision" in captured.err
 
     def test_invalid_params_exit_code(self, capsys):
         # n below 3 is rejected during normalization, not argparse

@@ -1,4 +1,5 @@
-"""Every name a package module imports is used somewhere in that module."""
+"""Every name a package module imports is used somewhere in that module,
+and every name it defines at top level is used by some package module."""
 
 import ast
 from pathlib import Path
@@ -35,13 +36,51 @@ def annotation_nodes(tree):
 
 
 def referenced_names(tree):
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    used = {
+        node.id for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
     for annotation in annotation_nodes(tree):
         for node in ast.walk(annotation):
             if isinstance(node, ast.Constant) and isinstance(node.value, str):
                 parsed = ast.parse(node.value, mode="eval")
                 used |= {n.id for n in ast.walk(parsed) if isinstance(n, ast.Name)}
     return used
+
+
+def defined_names(tree):
+    """Top-level functions, classes and assigned constants of a module."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name):
+                    names[target.id] = node.lineno
+    return names
+
+
+def package_uses(module, tree):
+    """(module, name) pairs one module uses: the names it reads itself and
+    the names it imports from sibling modules."""
+    uses = {(module, name) for name in referenced_names(tree)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+            uses |= {(node.module, alias.name) for alias in node.names}
+    return uses
+
+
+def unused_definitions(trees):
+    """Top-level names of the given {module: tree} that no module uses."""
+    used = set().union(*(package_uses(module, tree) for module, tree in trees.items()))
+    return {
+        f"{module}.{name}": line
+        for module, tree in trees.items()
+        for name, line in defined_names(tree).items()
+        if (module, name) not in used
+    }
 
 
 def test_modules_found():
@@ -66,3 +105,18 @@ def test_scan_sees_string_annotations():
     )
     unused = set(imported_names(tree)) - referenced_names(tree)
     assert unused == {"B"}
+
+
+def test_no_definition_without_a_package_caller():
+    # the re-exports of __init__.py do not count: test-only code lives in tests/
+    trees = {p.stem: ast.parse(p.read_text()) for p in MODULES}
+    unused = unused_definitions(trees)
+    assert not unused, f"defined but used by no package module: {unused}"
+
+
+def test_definition_scan_sees_imports_and_stores():
+    trees = {
+        "a": ast.parse("X = 1\nY = 2\nZ = Y\ndef f():\n    pass\ndef g():\n    pass\n"),
+        "b": ast.parse("from .a import f\nf()\n"),
+    }
+    assert set(unused_definitions(trees)) == {"a.X", "a.Z", "a.g"}

@@ -7,13 +7,11 @@ import pytest
 import helpers
 from helpers import all_ones_poly, companion_matrix, resultant
 from igraphjac import (
-    IntLaurentPoly,
     IntMatrix,
     IntPoly,
     InvalidParams,
     ZeroPolynomial,
     chebyshev_quotient,
-    chebyshev_t,
     chebyshev_t_poly,
     determinant,
     presentation_matrix,
@@ -60,41 +58,32 @@ class TestIntPoly:
 
 
 class TestIntLaurentPoly:
-    def test_bounds_and_eval(self):
-        p = IntLaurentPoly(-1, [1, -3, 1])
-        assert (p.lo, p.hi) == (-1, 1)
-        assert p(Fraction(2)) == Fraction(1, 2) - 3 + 2
-
-    def test_trims_both_ends(self):
-        p = IntLaurentPoly(-2, [0, 1, 5, 0])
-        assert (p.lo, p.hi) == (-1, 0)
+    """Helpers for a Laurent polynomial z^-m f, applied to its monic form f."""
 
     def test_is_bimonic(self):
-        assert helpers.is_bimonic(IntLaurentPoly(-2, [1, 0, 3, 0, 1]))
-        assert not helpers.is_bimonic(IntLaurentPoly(-1, [2, 3, 1]))
-        assert not helpers.is_bimonic(IntLaurentPoly(0, [1]))
+        assert helpers.is_bimonic(IntPoly([1, 0, 3, 0, 1]))
+        assert not helpers.is_bimonic(IntPoly([2, 3, 1]))
+        assert not helpers.is_bimonic(IntPoly([1]))
 
     def test_derivative(self):
-        p = IntLaurentPoly(-1, [1, 7, 1])
-        d = helpers.derivative(p)
-        assert d(Fraction(2)) == Fraction(-1, 4) + 1
-
-    def test_to_poly_shifts_to_degree_zero(self):
-        p = IntLaurentPoly(-2, [1, -6, 10, -6, 1])
-        assert p.to_poly().coeffs == (1, -6, 10, -6, 1)
+        # z (z^-1 + 7 + z) = 1 + 7z + z^2
+        d = helpers.derivative(IntPoly([1, 7, 1]))
+        assert d.coeffs == (7, 2)
+        assert d(Fraction(2)) == 11
+        assert helpers.derivative(IntPoly([5])).is_zero
 
 
 class TestSpectralPoly:
     def test_known_1_1(self):
         p = spectral_poly(1, 1)
-        assert p.lo == -2
+        assert isinstance(p, IntPoly)
         assert p.coeffs == (1, -6, 10, -6, 1)
 
     @pytest.mark.parametrize("k,l", SAMPLE_PAIRS)
     def test_structure(self, k, l):
         p = spectral_poly(k, l)
         assert helpers.is_bimonic(p)
-        assert (p.lo, p.hi) == (-(k + l), k + l)
+        assert p.degree == 2 * (k + l)
         # palindromic: the graph spectrum is real
         assert p.coeffs == tuple(reversed(p.coeffs))
 
@@ -107,8 +96,9 @@ class TestSpectralPoly:
 
     @pytest.mark.parametrize("k,l", SAMPLE_PAIRS)
     def test_value_at_minus_one(self, k, l):
+        # P(-1) for the Laurent P = z^-(k+l) spectral_poly(k, l)
         expected = 24 if (k % 2 and l % 2) else 4
-        assert spectral_poly(k, l)(Fraction(-1)) == expected
+        assert (-1) ** (k + l) * spectral_poly(k, l)(-1) == expected
 
     @pytest.mark.parametrize("k,l", SAMPLE_PAIRS)
     def test_matches_direct_product_form(self, k, l):
@@ -116,7 +106,7 @@ class TestSpectralPoly:
         for z in (Fraction(2), Fraction(-3), Fraction(1, 2), Fraction(-5, 3)):
             u = 3 - z**k - z**-k
             v = 3 - z**l - z**-l
-            assert p(z) == u * v - 1
+            assert p(z) == z ** (k + l) * (u * v - 1)
 
 
 class TestCompanionMatrix:
@@ -131,13 +121,13 @@ class TestCompanionMatrix:
 
     def test_rejects_non_bimonic(self):
         with pytest.raises(ValueError):
-            companion_matrix(IntLaurentPoly(-1, [2, 3, 1]))
+            companion_matrix(IntPoly([2, 3, 1]))
 
     @pytest.mark.parametrize("k,l", [(1, 1), (1, 2), (2, 3)])
     def test_characteristic_polynomial(self, k, l):
-        # det(zI - C) must reproduce the monic shifted polynomial
-        poly = spectral_poly(k, l).to_poly()
-        c = companion_matrix(spectral_poly(k, l)).to_lists()
+        # det(zI - C) must reproduce the monic polynomial
+        poly = spectral_poly(k, l)
+        c = companion_matrix(poly).to_lists()
         s = len(c)
         for z in (-2, -1, 2, 3, 5):
             zi_minus_c = IntMatrix([[z * (i == j) - c[i][j] for j in range(s)] for i in range(s)])
@@ -153,7 +143,7 @@ class TestPresentationMatrix:
         for n in (0, 1, 2, 7, 16, 33):
             power = helpers.mat_pow(c, n).to_lists()
             expected = [[power[j][i] - (i == j) for j in range(c.rows)] for i in range(c.rows)]
-            assert presentation_matrix(f.to_poly(), n).to_lists() == expected
+            assert presentation_matrix(f, n).to_lists() == expected
 
     def test_determinant_is_resultant_with_z_n_minus_one(self):
         rng = random.Random(59)
@@ -185,30 +175,30 @@ class TestChebyshev:
     def test_exact_scalar_matches_poly(self, n):
         poly = chebyshev_t_poly(n)
         for x in (Fraction(0), Fraction(1), Fraction(-1), Fraction(3, 7), Fraction(-5, 2)):
-            assert chebyshev_t(n, x) == poly(x)
+            assert helpers.chebyshev_t(n, x) == poly(x)
 
     def test_endpoint_values(self):
         for n in range(8):
-            assert chebyshev_t(n, Fraction(1)) == 1
-            assert chebyshev_t(n, Fraction(-1)) == (-1) ** n
+            assert chebyshev_t_poly(n)(Fraction(1)) == 1
+            assert chebyshev_t_poly(n)(Fraction(-1)) == (-1) ** n
 
     def test_trig_identity(self):
         with mpmath.workprec(80):
             for n in (2, 5, 11):
                 for phi in (mpmath.mpf("0.3"), mpmath.mpf("1.2")):
-                    lhs = chebyshev_t(n, mpmath.cos(phi))
+                    lhs = chebyshev_t_poly(n)(mpmath.cos(phi))
                     assert abs(lhs - mpmath.cos(n * phi)) < mpmath.mpf(2) ** -60
 
     def test_growth_branch(self):
-        # closed form for arguments beyond [-1, 1]
+        # beyond [-1, 1]: T_5(2) = ((2 + sqrt 3)^5 + (2 - sqrt 3)^5) / 2
         with mpmath.workprec(80):
-            assert abs(chebyshev_t(5, mpmath.mpf(2)) - 362) < mpmath.mpf(2) ** -60
+            assert abs(chebyshev_t_poly(5)(mpmath.mpf(2)) - 362) < mpmath.mpf(2) ** -60
 
     def test_pell_relation(self):
         # T_n^2 - (x^2 - 1) U_{n-1}^2 = 1
         for n in (1, 2, 5, 8):
             for x in (Fraction(2), Fraction(-3, 2), Fraction(1, 3)):
-                t = chebyshev_t(n, x)
+                t = chebyshev_t_poly(n)(x)
                 u = helpers.chebyshev_u(n - 1, x)
                 assert t * t - (x * x - 1) * u * u == 1
 
@@ -228,8 +218,8 @@ class TestChebyshevQuotient:
     def test_product_with_linear_factor(self, k, l):
         q = chebyshev_quotient(k, l)
         for w in (Fraction(2), Fraction(-1), Fraction(3, 2)):
-            tk = chebyshev_t(k, w)
-            tl = chebyshev_t(l, w)
+            tk = chebyshev_t_poly(k)(w)
+            tl = chebyshev_t_poly(l)(w)
             assert (w - 1) * q(w) == (3 - 2 * tk) * (3 - 2 * tl) - 1
 
 

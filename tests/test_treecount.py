@@ -11,7 +11,6 @@ from igraphjac import (
     jacobian_via_companion,
     normalize,
     presentation_matrix,
-    sixfold_rule_report,
     spectral_poly,
     tree_count_chebyshev,
     tree_count_kirchhoff,
@@ -66,7 +65,7 @@ def test_large_n_subresultant_oracle(n, k, l):
     assert jacobian_via_companion(p).order == tau
     # the Jacobian route takes the Smith form modulo the (0,0) cofactor; the
     # kernels of M make every corner cofactor +-tau
-    m = presentation_matrix(spectral_poly(k, l).to_poly(), n).to_lists()
+    m = presentation_matrix(spectral_poly(k, l), n).to_lists()
     corners = (0, len(m) - 1)
     for i in corners:
         for j in corners:
@@ -132,7 +131,7 @@ def test_sixfold_rule_report():
             except Exception:
                 continue
             samples.append((p, decompose(tree_count_resultant(p), p)))
-    report = sixfold_rule_report(samples)
+    report = helpers.sixfold_rule_report(samples)
     assert report["rule"] == "multiplier 6 iff n even and k+l even"
     assert report["six_with_odd_sum"] == 0
     assert report["six_with_even_sum"] > 0
