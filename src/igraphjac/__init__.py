@@ -30,10 +30,10 @@ from .jacobian import (
 )
 from .polyring import (
     IntPoly,
-    chebyshev_quotient,
-    chebyshev_t_poly,
+    lucas_matrix,
     presentation_matrix,
     spectral_poly,
+    trace_poly,
 )
 from .treecount import (
     ROUNDING_GUARD,

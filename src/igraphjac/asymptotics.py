@@ -2,15 +2,17 @@
 
 The spanning tree count of I(n, k, l) grows like (n / (k^2 + l^2)) * A^n
 where A is the product of the roots of spectral_poly(k, l) lying outside the
-unit circle.  The root product reads them off the k+l-1 roots of
-chebyshev_quotient(k, l), the same root set the Chebyshev tree count uses.
-A equals the Mahler measure of the polynomial, so it can also be computed
-as exp of the average of log|P| over the unit circle; the two routes check
-each other.
+unit circle.  The root product reads them off the k+l-1 roots x of
+trace_poly(k, l), the polynomial in x = z + 1/z that the Chebyshev tree
+count also roots: each x stands for the pair z, 1/z with
+z = (x + sqrt(x^2 - 4))/2.  A equals the Mahler measure of the polynomial,
+so it can also be computed as exp of the average of log|P| over the unit
+circle; the two routes check each other.
 
 Root finding is an Aberth-style simultaneous iteration in mpmath arithmetic:
-deterministic start points on a Cauchy-bound circle, Gauss-Seidel updates,
-and a few deterministic restarts at larger radii if an attempt stalls.
+deterministic start points on a circle of Fujiwara-bound radius, which
+scales with the roots, Gauss-Seidel updates, and a few deterministic
+restarts at larger radii if an attempt stalls.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .errors import (
     QuadratureFailure,
     ZeroPolynomial,
 )
-from .polyring import IntPoly, chebyshev_quotient
+from .polyring import IntPoly, _check_steps, trace_poly
 
 if TYPE_CHECKING:  # pragma: no cover
     from .igraph import GraphParams
@@ -118,7 +120,9 @@ def poly_roots(poly: IntPoly, precision_bits: int = DEFAULT_PRECISION) -> RootSe
         if deg > 0:
             cs = [mp.mpf(c) for c in coeffs]
             lead = cs[-1]
-            radius = 1 + max(abs(c / lead) for c in cs[:-1])
+            radius = 2 * max(
+                abs(c / lead) ** (mp.mpf(1) / (deg - i)) for i, c in enumerate(cs[:-1])
+            )
             tol = mp.mpf(2) ** (-(precision_bits + 8))
             max_iter = 128 + 4 * precision_bits
             roots = None
@@ -151,32 +155,32 @@ def poly_roots(poly: IntPoly, precision_bits: int = DEFAULT_PRECISION) -> RootSe
 def mahler_constant(k: int, l: int, precision_bits: int = DEFAULT_PRECISION) -> RealApprox:
     """Product of the roots of spectral_poly(k, l) outside the unit circle.
 
-    Each root w of chebyshev_quotient(k, l) stands for the pair of roots
-    z = w +- sqrt(w^2 - 1) of spectral_poly, whose product is 1, so the
-    outer one contributes max(|w + s|, 1/|w + s|) with s = sqrt(w^2 - 1).
-    The double root at z = 1 is the known root w = 1 divided out of the
-    quotient.  A factor within 2^(-precision_bits/4) of 1 (w on or near
-    [-1, 1]) raises ClassificationFailure.  A Newton correction dw moves
-    |z| by a relative |dw| / |s|, which carries the error bound.
+    Each root x of trace_poly(k, l) stands for the pair of roots
+    z = (x +- s)/2, s = sqrt(x^2 - 4), of spectral_poly, whose product is 1,
+    so the outer one contributes max(|z|, 1/|z|) with z = (x + s)/2.  The
+    double root at z = 1 is the known root x = 2 divided out of R.  A factor
+    within 2^(-precision_bits/4) of 1 (x on or near [-2, 2]) raises
+    ClassificationFailure.  A Newton correction dx moves |z| by a relative
+    |dx| / |s|, which carries the error bound.
     """
-    quotient = chebyshev_quotient(k, l)
-    rset = poly_roots(quotient, precision_bits)
+    trace = trace_poly(k, l)
+    rset = poly_roots(trace, precision_bits)
     with mp.workprec(precision_bits + 64):
         margin = mp.mpf(2) ** (-(precision_bits // 4))
-        cs = [mp.mpf(c) for c in quotient.coeffs]
+        cs = [mp.mpf(c) for c in trace.coeffs]
         value = mp.mpf(1)
         err_rel = mp.mpf(0)
-        for w in rset.roots:
-            w = mp.mpc(w)
-            s = mpmath.sqrt(w * w - 1)
-            r = abs(w + s)
+        for x in rset.roots:
+            x = mp.mpc(x)
+            s = mpmath.sqrt(x * x - 4)
+            r = abs((x + s) / 2)
             factor = max(r, 1 / r)
             if factor <= 1 + margin:
                 raise ClassificationFailure(
                     f"root pair of modulus {mpmath.nstr(r, 20)} too close to the unit circle"
                 )
             value *= factor
-            q, dq = _eval_with_derivative(cs, w)
+            q, dq = _eval_with_derivative(cs, x)
             if dq != 0:
                 err_rel += abs(q / dq) / abs(s)
         floor = mp.mpf(2) ** (-(precision_bits - 8))
@@ -194,8 +198,6 @@ def mahler_integral(k: int, l: int, precision_bits: int = 192) -> RealApprox:
     rewritten as 1 + 4 sin^2(pi k t) so the value near the zero comes out as
     a sum of tiny positives instead of a catastrophic cancellation.
     """
-    from .polyring import _check_steps
-
     _check_steps(k, l)
     with mp.workprec(precision_bits + 32):
 

@@ -4,8 +4,9 @@ Route one is the definition: Smith normal form of the 2n x 2n Laplacian.
 Route two compresses the cokernel first: with P the monic polynomial
 spectral_poly(k, l), coker(L) is isomorphic to Z[z]/(P, z^n - 1), which the
 2(k+l) x 2(k+l) matrix M of multiplication by z^n - 1 on Z[z]/(P) presents
-whatever the value of n.  M has rank 2(k+l) - 1 and each corner cofactor of
-M is +-tau, the torsion order, so the Smith form of M is taken modulo tau.
+whatever the value of n.  M has rank 2(k+l) - 1 and its torsion has order
+tau, the spanning tree count, so the Smith form of M is taken modulo the tau
+that treecount computes in the other ring Z[x]/(R), x = z + 1/z.
 Both return the torsion part plus a free rank, which is 1 for every
 connected I-graph.
 """
@@ -15,10 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import prod
 
-from .bigmat import IntMatrix, SmithForm, determinant, smith_normal_form
+from .bigmat import SmithForm, smith_normal_form
 from .errors import InternalInconsistency
 from .igraph import GraphParams, laplacian_matrix
 from .polyring import presentation_matrix, spectral_poly
+from .treecount import tree_count_resultant
 
 # Above this n the command line's auto method leaves the dense Laplacian
 # routes for the ring-kernel ones.
@@ -76,16 +78,13 @@ def jacobian_via_laplacian(p: GraphParams) -> AbelianGroup:
 def jacobian_via_companion(p: GraphParams) -> AbelianGroup:
     """Torsion of coker(M), M = multiplication by z^n - 1 on Z[z]/(P).
 
-    The left kernel of M is evaluation at z = 1 and the right kernel is
-    P/(z - 1), whose end coefficients are +-1, so the (0,0) cofactor of M is
-    +-tau.  The Smith form is then taken modulo tau; its last factor must
-    come back as tau and the others must multiply to tau, a check the
-    Bareiss determinant and the elimination share no code for.
+    The torsion order is tau, which tree_count_resultant computes in
+    Z[x]/(R) with R = trace_poly(k, l).  The Smith form is then taken modulo
+    tau; its last factor must come back as tau and the others must multiply
+    to tau, a check that compares the two rings.
     """
     m = presentation_matrix(spectral_poly(p.k, p.l), p.n)
-    tau = abs(determinant(IntMatrix([row[1:] for row in m.to_lists()[1:]])))
-    if tau == 0:
-        raise InternalInconsistency(f"corner cofactor of the presentation of {p} is 0")
+    tau = tree_count_resultant(p).tau
     *torsion, last = smith_normal_form(m, modulus=tau).invariant_factors
     if last != tau or prod(torsion) != tau:
         raise InternalInconsistency(

@@ -6,14 +6,15 @@ The central object is the monic polynomial
 
 z^(k+l) times the Laurent polynomial P of the paper.  The values of P at the
 n-th roots of unity multiply out to n times the spanning tree count of
-I(n, k, l).  Both exact large-n routes work in the ring Z[z]/(f) for
-f = spectral_poly(k, l) (or f divided by (z - 1)^2): presentation_matrix
-reduces z^n mod f by square-and-multiply and returns the matrix of
-multiplication by z^n - 1, whose cokernel and determinant give the Jacobian
-group and the tree count.  The Chebyshev substitution w = (z + 1/z)/2 gives
-the quotient whose roots both floating-point routes (the Chebyshev tree
-count and the growth constant) use; the tree count evaluates T_n at those
-roots itself, so only the coefficients chebyshev_t_poly(n) live here.
+I(n, k, l).  P is palindromic, so the paper's substitution x = z + 1/z
+halves it: P = (x - 2) R(x) with R = trace_poly(k, l), monic of degree
+k+l-1.  The Jacobian works in Z[z]/(P): presentation_matrix reduces z^n mod
+P by square-and-multiply and returns the matrix of multiplication by
+z^n - 1, whose cokernel is the Jacobian group.  The tree count works in
+Z[x]/(R): lucas_matrix reduces V_n(x) = z^n + z^-n mod R by the Lucas
+ladder and returns the matrix of multiplication by V_n - 2, whose
+determinant gives the count.  Both floating-point routes (the Chebyshev
+tree count and the growth constant) take the roots of R.
 """
 
 from __future__ import annotations
@@ -64,36 +65,6 @@ class IntPoly:
             acc = acc * x + c
         return acc
 
-    def __add__(self, other):
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return IntPoly(out)
-
-    def __neg__(self):
-        return IntPoly([-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return IntPoly([other * c for c in self.coeffs])
-        if self.is_zero or other.is_zero:
-            return IntPoly([0])
-        a, b = self.coeffs, other.coeffs
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    out[i + j] += ca * cb
-        return IntPoly(out)
-
-    __rmul__ = __mul__
-
     def deflate(self, root: int) -> tuple["IntPoly", int]:
         """Synthetic division by (x - root); returns (quotient, remainder)."""
         if self.is_zero:
@@ -140,6 +111,31 @@ def spectral_poly(k: int, l: int) -> IntPoly:
     return IntPoly(coeffs)
 
 
+def trace_poly(k: int, l: int) -> IntPoly:
+    """R(x) = ((3 - V_k)(3 - V_l) - 1) / (x - 2), spectral_poly in x = z + 1/z.
+
+    V_j is the Lucas polynomial with V_j(z + 1/z) = z^j + z^-j (V_0 = 2,
+    V_1 = x, V_(j+1) = x V_j - V_(j-1)), so z^-(k+l) spectral_poly(k, l) is
+    (x - 2) R(x).  V_k V_l = V_(k+l) + V_|k-l| gives R without a polynomial
+    product.  R is monic of degree k+l-1 and R(2) = -(k^2 + l^2).
+    """
+    _check_steps(k, l)
+    lucas = [[2], [0, 1]]
+    for _ in range(k + l - 1):
+        nxt = [0] + lucas[-1]
+        for i, c in enumerate(lucas[-2]):
+            nxt[i] -= c
+        lucas.append(nxt)
+    g = [8] + [0] * (k + l)
+    for j, c in ((k, -3), (l, -3), (k + l, 1), (abs(k - l), 1)):
+        for i, v in enumerate(lucas[j]):
+            g[i] += c * v
+    r, rem = IntPoly(g).deflate(2)
+    if rem:
+        raise InternalInconsistency("x = 2 must be a root before deflation")
+    return r
+
+
 def _times_z(a: list[int], f: tuple[int, ...]) -> list[int]:
     """z * a mod f for monic f of degree len(a)."""
     top = a[-1]
@@ -150,18 +146,15 @@ def _times_z(a: list[int], f: tuple[int, ...]) -> list[int]:
     return out
 
 
-def _square(a: list[int], f: tuple[int, ...]) -> list[int]:
-    """a^2 mod f for monic f of degree len(a)."""
+def _mul(a: list[int], b: list[int], f: tuple[int, ...]) -> list[int]:
+    """a * b mod f for monic f of degree len(a) = len(b)."""
     s = len(a)
     out = [0] * (2 * s - 1)
     for i, x in enumerate(a):
         if x:
-            out[2 * i] += x * x
-            x2 = 2 * x
-            for j in range(i + 1, s):
-                y = a[j]
+            for j, y in enumerate(b):
                 if y:
-                    out[i + j] += x2 * y
+                    out[i + j] += x * y
     low = f[:-1]
     for d in range(2 * s - 2, s - 1, -1):
         top = out[d]
@@ -173,6 +166,23 @@ def _square(a: list[int], f: tuple[int, ...]) -> list[int]:
     return out[:s]
 
 
+def _monic_coeffs(f: IntPoly, n: int) -> tuple[int, ...]:
+    """The coefficients of f, once f is monic of degree >= 1 and n >= 0."""
+    if f.is_zero or f.degree < 1 or f.lead != 1:
+        raise InvalidParams(f"need a monic polynomial of degree >= 1, got {f!r}")
+    if not isinstance(n, int) or n < 0:
+        raise InvalidParams("n must be a nonnegative int")
+    return f.coeffs
+
+
+def _multiplication_matrix(r: list[int], f: tuple[int, ...]) -> IntMatrix:
+    """Matrix of multiplication by r on Z[z]/(f): column j is r z^j mod f."""
+    cols = [r]
+    for _ in range(len(r) - 1):
+        cols.append(_times_z(cols[-1], f))
+    return IntMatrix([list(row) for row in zip(*cols)])
+
+
 def presentation_matrix(f: IntPoly, n: int) -> IntMatrix:
     """Matrix of multiplication by z^n - 1 on Z[z]/(f), for monic f.
 
@@ -182,47 +192,36 @@ def presentation_matrix(f: IntPoly, n: int) -> IntMatrix:
     of f.  z^n mod f comes from square-and-multiply: O(log n) products of
     polynomials of degree below deg f, whatever the size of n.
     """
-    if f.is_zero or f.degree < 1 or f.lead != 1:
-        raise InvalidParams(f"need a monic polynomial of degree >= 1, got {f!r}")
-    if not isinstance(n, int) or n < 0:
-        raise InvalidParams("n must be a nonnegative int")
-    coeffs = f.coeffs
-    s = len(coeffs) - 1
-    r = [1] + [0] * (s - 1)
+    coeffs = _monic_coeffs(f, n)
+    r = [1] + [0] * (len(coeffs) - 2)
     for bit in bin(n)[2:]:
-        r = _square(r, coeffs)
+        r = _mul(r, r, coeffs)
         if bit == "1":
             r = _times_z(r, coeffs)
     r[0] -= 1
-    cols = [r]
-    for _ in range(s - 1):
-        cols.append(_times_z(cols[-1], coeffs))
-    return IntMatrix([list(row) for row in zip(*cols)])
+    return _multiplication_matrix(r, coeffs)
 
 
-def chebyshev_t_poly(n: int) -> IntPoly:
-    """Coefficients of the degree-n Chebyshev polynomial of the first kind."""
-    if n < 0:
-        raise InvalidParams("n must be nonnegative")
-    t0, t1 = IntPoly([1]), IntPoly([0, 1])
-    if n == 0:
-        return t0
-    for _ in range(n - 1):
-        t0, t1 = t1, IntPoly((0,) + tuple(2 * c for c in t1.coeffs)) - t0
-    return t1
+def lucas_matrix(f: IntPoly, n: int) -> IntMatrix:
+    """Matrix of multiplication by V_n(x) - 2 on Z[x]/(f), for monic f.
 
-
-def chebyshev_quotient(k: int, l: int) -> IntPoly:
-    """((3 - 2T_k(w))(3 - 2T_l(w)) - 1) / (w - 1).
-
-    This is spectral_poly after the substitution w = (z + 1/z)/2, with the
-    known root at w = 1 divided out.  Degree k+l-1, leading coefficient
-    2^(k+l), value -2(k^2 + l^2) at w = 1.
+    V_n is the Lucas polynomial of trace_poly, so the determinant is the
+    product of V_n(a) - 2 = z^n + z^-n - 2 over the roots a = z + 1/z of f.
+    V_n mod f comes from the Lucas ladder: from (V_j, V_(j+1)) each bit of
+    n steps to (V_2j, V_(2j+1)) or (V_(2j+1), V_(2j+2)) through
+    V_2j = V_j^2 - 2 and V_(2j+1) = V_j V_(j+1) - x, so O(log n) products.
     """
-    _check_steps(k, l)
-    three = IntPoly([3])
-    full = (three - 2 * chebyshev_t_poly(k)) * (three - 2 * chebyshev_t_poly(l)) - IntPoly([1])
-    quot, rem = full.deflate(1)
-    if rem != 0:
-        raise InternalInconsistency("w = 1 must be a root before deflation")
-    return quot
+    coeffs = _monic_coeffs(f, n)
+    one = [1] + [0] * (len(coeffs) - 2)
+    x = _times_z(one, coeffs)
+    v, w = [2] + one[1:], x
+    for bit in bin(n)[2:]:
+        mixed = [c - d for c, d in zip(_mul(v, w, coeffs), x)]
+        if bit == "1":
+            v, w = mixed, _mul(w, w, coeffs)
+            w[0] -= 2
+        else:
+            v, w = _mul(v, v, coeffs), mixed
+            v[0] -= 2
+    v[0] -= 2
+    return _multiplication_matrix(v, coeffs)

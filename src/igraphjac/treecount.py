@@ -2,18 +2,18 @@
 
 kirchhoff  - determinant of a principal Laplacian minor (matrix-tree); exact,
              the small-n oracle.
-resultant  - tau = n |Res(Q, z^n - 1)| / (k^2 + l^2) with Q = z^(k+l) P / (z-1)^2
-             = spectral_poly(k, l) / (z-1)^2, P the paper's Laurent
-             polynomial; the resultant is the determinant of
-             multiplication by z^n - 1 on Z[z]/(Q), built from z^n mod Q in
-             O(log n) ring products.  Exact for any n, and the default for
-             large n.
-chebyshev  - tau = (-1)^((n-1)(k+l)) n prod_s (T_n(w_s) - 1)/(w_s - 1) over
-             the roots w_s of chebyshev_quotient(k, l), with T_n(w) evaluated
-             in place as ((w + s)^n + (w - s)^n)/2, s = sqrt(w^2 - 1);
-             floating point with a rounding guard, mainly a numerically
-             independent cross-check.  The growth constant in asymptotics
-             reads the same roots and the same s.
+resultant  - tau = n |det N_R| / (k^2 + l^2) with R = trace_poly(k, l), the
+             paper's Laurent polynomial P = (x - 2) R(x) in x = z + 1/z, and
+             N_R the (k+l-1) x (k+l-1) matrix of multiplication by
+             V_n(x) - 2 = z^n + z^-n - 2 on Z[x]/(R), built from the Lucas
+             ladder in O(log n) ring products.  Exact for any n, and the
+             default for large n.
+chebyshev  - tau = (-1)^((n-1)(k+l)) n prod (V_n(x) - 2)/(x - 2) over the
+             roots x of R, with V_n(x) = z^n + z^-n evaluated in place from
+             z = (x + s)/2, s = sqrt(x^2 - 4); floating point with a
+             rounding guard, mainly a numerically independent cross-check.
+             The growth constant in asymptotics reads the same roots and the
+             same s.
 
 Every count tau is divisible by n, is at least n^3, and splits as
 tau = multiplier * n * a^2 with multiplier 6 when n is even and the exact
@@ -33,7 +33,7 @@ from .asymptotics import DEFAULT_PRECISION, poly_roots
 from .bigmat import IntMatrix, determinant
 from .errors import InternalInconsistency, NotASquare, PrecisionExhausted
 from .igraph import GraphParams, laplacian_matrix
-from .polyring import chebyshev_quotient, presentation_matrix, spectral_poly
+from .polyring import lucas_matrix, spectral_poly, trace_poly
 
 ROUNDING_GUARD = 0.25
 
@@ -67,21 +67,17 @@ def tree_count_kirchhoff(p: GraphParams) -> TreeCount:
 
 
 def tree_count_resultant(p: GraphParams) -> TreeCount:
-    """Exact count from the resultant of Q = z^(k+l) P / (z - 1)^2 and z^n - 1.
+    """Exact count from R = trace_poly(k, l) in x = z + 1/z.
 
-    n tau is the product of P over the nontrivial n-th roots of unity, which
-    is n^2 Res(Q, z^n - 1) / Q(1) up to sign, and Q(1) = -(k^2 + l^2).
+    n tau is the product of P = (x - 2) R(x) over the nontrivial n-th roots
+    of unity, which is n^2 Res(R, V_n - 2) / R(2) up to sign, with
+    Res(R, V_n - 2) = det N_R and R(2) = -(k^2 + l^2).
     """
-    q = spectral_poly(p.k, p.l)
-    for _ in range(2):
-        q, rem = q.deflate(1)
-        if rem:
-            raise InternalInconsistency("z = 1 must be a double root of the spectral polynomial")
-    res = determinant(presentation_matrix(q, p.n))
+    res = determinant(lucas_matrix(trace_poly(p.k, p.l), p.n))
     tau, rem = divmod(p.n * abs(res), p.k * p.k + p.l * p.l)
     if rem or tau <= 0:
         raise InternalInconsistency(
-            f"n * |Res(Q, z^n - 1)| = {p.n * abs(res)} is not a positive "
+            f"n * |Res(R, V_n - 2)| = {p.n * abs(res)} is not a positive "
             f"multiple of k^2 + l^2 = {p.k * p.k + p.l * p.l}"
         )
     return TreeCount(tau)
@@ -89,7 +85,7 @@ def tree_count_resultant(p: GraphParams) -> TreeCount:
 
 @lru_cache(maxsize=None)
 def _quotient_roots(k: int, l: int, precision_bits: int):
-    return poly_roots(chebyshev_quotient(k, l), precision_bits).roots
+    return poly_roots(trace_poly(k, l), precision_bits).roots
 
 
 def tree_count_chebyshev(p: GraphParams, precision_bits: int = DEFAULT_PRECISION) -> TreeCount:
@@ -102,11 +98,11 @@ def tree_count_chebyshev(p: GraphParams, precision_bits: int = DEFAULT_PRECISION
     roots = _quotient_roots(p.k, p.l, precision_bits)
     with mp.workprec(precision_bits + 64):
         acc = mp.mpc(1)
-        for w in roots:
-            w = mp.mpc(w)
-            s = mpmath.sqrt(w * w - 1)
-            t_n = ((w + s) ** p.n + (w - s) ** p.n) / 2
-            acc *= (t_n - 1) / (w - 1)
+        for x in roots:
+            x = mp.mpc(x)
+            s = mpmath.sqrt(x * x - 4)
+            v_n = ((x + s) / 2) ** p.n + ((x - s) / 2) ** p.n
+            acc *= (v_n - 2) / (x - 2)
         signed = _sign(p) * p.n * acc
         value = mp.re(signed)
         distance = max(abs(value - mpmath.nint(value)), abs(mp.im(signed)))

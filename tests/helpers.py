@@ -6,8 +6,12 @@ contraction or from a plain Gaussian Kirchhoff minor, and resultants are
 Sylvester determinants or the subresultant PRS.  The companion matrix and
 its powers present Z[z]/(f, z^n - 1) the way the ring kernel's
 square-and-multiply does not; the Chebyshev values come from three-term
-recurrences.  Slow is fine; these only certify.  sixfold_rule_report is the
-diagnostic that tallies square decompositions by parity.
+recurrences, and the Chebyshev quotient in w = x/2 is built by polynomial
+products where trace_poly needs none.  The one exception is
+tree_count_q_ring, the former large-n count: it runs the package's ring
+kernel over Z[z]/(Q), Q = P/(z - 1)^2, twice the size of the Z[x]/(R) the
+package now uses.  Slow is fine; these only certify.  sixfold_rule_report
+is the diagnostic that tallies square decompositions by parity.
 """
 
 from fractions import Fraction
@@ -18,6 +22,8 @@ from igraphjac import (
     IntMatrix,
     IntPoly,
     ZeroPolynomial,
+    determinant,
+    presentation_matrix,
     spectral_poly,
 )
 
@@ -47,6 +53,67 @@ def is_bimonic(p):
 def derivative(p):
     """Formal derivative of an IntPoly."""
     return IntPoly([i * c for i, c in enumerate(p.coeffs)][1:] or [0])
+
+
+def poly_mul(f, g):
+    """Product of two IntPolys by convolving their coefficient lists."""
+    out = [0] * (len(f.coeffs) + len(g.coeffs) - 1)
+    for i, a in enumerate(f.coeffs):
+        for j, b in enumerate(g.coeffs):
+            out[i + j] += a * b
+    return IntPoly(out)
+
+
+def chebyshev_t_poly(n):
+    """Coefficients of the degree-n Chebyshev polynomial of the first kind."""
+    prev, cur = [1], [0, 1]
+    if n == 0:
+        return IntPoly(prev)
+    for _ in range(n - 1):
+        nxt = [0] + [2 * c for c in cur]
+        for i, c in enumerate(prev):
+            nxt[i] -= c
+        prev, cur = cur, nxt
+    return IntPoly(cur)
+
+
+def lucas_poly(n):
+    """V_n(x) = 2 T_n(x/2), so that V_n(z + 1/z) = z^n + z^-n."""
+    coeffs = []
+    for i, c in enumerate(chebyshev_t_poly(n).coeffs):
+        v, rem = divmod(2 * c, 2**i)
+        assert rem == 0
+        coeffs.append(v)
+    return IntPoly(coeffs)
+
+
+def chebyshev_quotient(k, l):
+    """((3 - 2T_k(w))(3 - 2T_l(w)) - 1) / (w - 1): spectral_poly in
+    w = (z + 1/z)/2 with the root w = 1 divided out.  Degree k+l-1, leading
+    coefficient 2^(k+l), value -2(k^2 + l^2) at w = 1."""
+    factors = []
+    for j in (k, l):
+        coeffs = [-2 * c for c in chebyshev_t_poly(j).coeffs]
+        coeffs[0] += 3
+        factors.append(IntPoly(coeffs))
+    full = list(poly_mul(*factors).coeffs)
+    full[0] -= 1
+    quot, rem = IntPoly(full).deflate(1)
+    assert rem == 0
+    return quot
+
+
+def tree_count_q_ring(n, k, l):
+    """tau(I(n,k,l)) = n |Res(Q, z^n - 1)| / (k^2 + l^2) for
+    Q = spectral_poly(k, l) / (z - 1)^2, from the determinant of
+    multiplication by z^n - 1 on Z[z]/(Q)."""
+    q = spectral_poly(k, l)
+    for _ in range(2):
+        q, rem = q.deflate(1)
+        assert rem == 0
+    tau, rem = divmod(n * abs(determinant(presentation_matrix(q, n))), k * k + l * l)
+    assert rem == 0 and tau > 0
+    return tau
 
 
 def chebyshev_t(n, x):

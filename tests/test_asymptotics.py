@@ -1,6 +1,7 @@
 import mpmath
 import pytest
 
+import helpers
 import igraphjac.asymptotics
 from igraphjac import (
     ClassificationFailure,
@@ -9,11 +10,11 @@ from igraphjac import (
     RootSet,
     ZeroPolynomial,
     asymptotic_ratio,
-    chebyshev_quotient,
     mahler_constant,
     mahler_integral,
     poly_roots,
     spectral_poly,
+    trace_poly,
     tree_count_resultant,
 )
 
@@ -61,11 +62,28 @@ class TestPolyRoots:
     def test_moderate_degree_distinct_integers(self):
         coeffs = IntPoly([1])
         for r in range(1, 9):
-            coeffs = coeffs * IntPoly([-r, 1])
+            coeffs = helpers.poly_mul(coeffs, IntPoly([-r, 1]))
         rset = poly_roots(coeffs, precision_bits=160)
         got = sorted_reals(rset.roots)
         for value, expected in zip(got, range(1, 9)):
             assert abs(value - expected) < mpmath.mpf(2) ** -80
+
+    @pytest.mark.parametrize("k,l", [(2, 3), (5, 6), (20, 21)])
+    def test_start_radius_scales_with_the_roots(self, monkeypatch, k, l):
+        # the quotient's roots are w = x/2 for the roots x of R, so its start
+        # circle must be half as large; a Cauchy radius is not
+        radii = []
+        attempt = igraphjac.asymptotics._aberth_attempt
+
+        def recording(coeffs, deg, radius, *rest):
+            radii.append(radius)
+            return attempt(coeffs, deg, radius, *rest)
+
+        monkeypatch.setattr(igraphjac.asymptotics, "_aberth_attempt", recording)
+        poly_roots(helpers.chebyshev_quotient(k, l), precision_bits=64)
+        poly_roots(trace_poly(k, l), precision_bits=64)
+        assert len(radii) == 2
+        assert abs(2 * radii[0] - radii[1]) < radii[1] * mpmath.mpf(2) ** -40
 
     def test_double_root_at_one_from_spectral_poly(self):
         # multiplicity 2 halves the attainable accuracy but must still land
@@ -114,7 +132,7 @@ class TestMahlerConstant:
             assert abs(coarse.value - fine.value) <= coarse.error_bound
 
     def test_quotient_root_in_unit_interval_is_rejected(self, monkeypatch):
-        # w = 1/2 maps to a pair of roots on the unit circle
+        # x = 1/2 lies in [-2, 2], so it maps to a pair of roots on the unit circle
         def fake_roots(poly, precision_bits):
             return RootSet((mpmath.mpc(3), mpmath.mpc("0.5")), mpmath.mpf(0))
 
@@ -123,8 +141,8 @@ class TestMahlerConstant:
             mahler_constant(1, 2)
 
     def test_quotient_root_correspondence(self):
-        # outside roots map to Q's roots through w = (z + 1/z) / 2, the
-        # correspondence mahler_constant inverts
+        # outside roots map to Q's roots through w = (z + 1/z) / 2 and to
+        # R's through x = 2w, the correspondence mahler_constant inverts
         rset = poly_roots(spectral_poly(2, 3), precision_bits=192)
         with mpmath.workprec(256):
             mapped = sorted(
@@ -132,11 +150,13 @@ class TestMahlerConstant:
                 for z in rset.roots
                 if abs(z) > 1 + mpmath.mpf("1e-20")
             )
-            wset = poly_roots(chebyshev_quotient(2, 3), precision_bits=192)
+            wset = poly_roots(helpers.chebyshev_quotient(2, 3), precision_bits=192)
             expected = sorted_reals(wset.roots)
-            assert len(mapped) == len(expected) == 4
-            for got, want in zip(mapped, expected):
+            xs = sorted_reals(poly_roots(trace_poly(2, 3), precision_bits=192).roots)
+            assert len(mapped) == len(expected) == len(xs) == 4
+            for got, want, x in zip(mapped, expected, xs):
                 assert abs(got - want) < mpmath.mpf("1e-40")
+                assert abs(x - 2 * want) < mpmath.mpf("1e-40")
 
 
 class TestMahlerIntegral:

@@ -1,6 +1,7 @@
 import pytest
 
 import helpers
+import igraphjac.jacobian
 from igraphjac import (
     DENSE_CEILING,
     LAPLACIAN_GATE,
@@ -9,11 +10,13 @@ from igraphjac import (
     InternalInconsistency,
     InvalidParams,
     SmithForm,
+    TreeCount,
     group_from_smith,
     jacobian_via_companion,
     jacobian_via_laplacian,
     rank_bounds_report,
     tree_count_kirchhoff,
+    tree_count_resultant,
 )
 
 
@@ -69,6 +72,17 @@ def test_known_groups_both_routes(params, torsion):
     for g in (jacobian_via_laplacian(params), jacobian_via_companion(params)):
         assert g.torsion == torsion
         assert g.free_rank == 1
+
+
+@pytest.mark.parametrize("scale", [2, 3])
+def test_companion_rejects_a_wrong_count(monkeypatch, scale):
+    # the Smith form over Z[z]/(P) must reproduce the count from Z[x]/(R)
+    def wrong_count(p):
+        return TreeCount(scale * tree_count_resultant(p).tau)
+
+    monkeypatch.setattr(igraphjac.jacobian, "tree_count_resultant", wrong_count)
+    with pytest.raises(InternalInconsistency):
+        jacobian_via_companion(GraphParams(12, 3, 4))
 
 
 def test_laplacian_gate():

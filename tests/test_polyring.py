@@ -5,17 +5,25 @@ import mpmath
 import pytest
 
 import helpers
-from helpers import all_ones_poly, companion_matrix, resultant
+from helpers import (
+    all_ones_poly,
+    chebyshev_quotient,
+    chebyshev_t_poly,
+    companion_matrix,
+    lucas_poly,
+    poly_mul,
+    resultant,
+)
 from igraphjac import (
     IntMatrix,
     IntPoly,
     InvalidParams,
     ZeroPolynomial,
-    chebyshev_quotient,
-    chebyshev_t_poly,
     determinant,
+    lucas_matrix,
     presentation_matrix,
     spectral_poly,
+    trace_poly,
 )
 
 SAMPLE_PAIRS = [(1, 1), (1, 2), (2, 3), (3, 4), (2, 5), (4, 5)]
@@ -31,12 +39,12 @@ class TestIntPoly:
             IntPoly([0]).degree
 
     def test_arithmetic(self):
+        # the tests' list product; the package itself multiplies no IntPolys
         f = IntPoly([1, 1])
         g = IntPoly([-1, 1])
-        assert (f * g).coeffs == (-1, 0, 1)
-        assert (f + g).coeffs == (0, 2)
-        assert (f - f).is_zero
-        assert (3 * f).coeffs == (3, 3)
+        assert poly_mul(f, g).coeffs == (-1, 0, 1)
+        assert poly_mul(f, IntPoly([0])).is_zero
+        assert poly_mul(IntPoly([3]), f).coeffs == (3, 3)
 
     def test_evaluation(self):
         f = IntPoly([2, 0, 1])
@@ -163,6 +171,68 @@ class TestPresentationMatrix:
             presentation_matrix(IntPoly([1, 1]), -1)
 
 
+class TestTracePoly:
+    def test_known_1_1(self):
+        # (3 - x)^2 - 1 = (x - 2)(x - 4)
+        assert trace_poly(1, 1).coeffs == (-4, 1)
+
+    @pytest.mark.parametrize("k,l", SAMPLE_PAIRS + [(20, 21)])
+    def test_structure(self, k, l):
+        r = trace_poly(k, l)
+        assert r.lead == 1
+        assert r.degree == k + l - 1
+        assert r(2) == -(k * k + l * l)
+
+    @pytest.mark.parametrize("k,l", SAMPLE_PAIRS)
+    def test_lucas_product(self, k, l):
+        # V_k V_l = V_(k+l) + V_|k-l| lets trace_poly skip this product
+        factors = []
+        for j in (k, l):
+            coeffs = [-c for c in lucas_poly(j).coeffs]
+            coeffs[0] += 3
+            factors.append(IntPoly(coeffs))
+        g = list(poly_mul(*factors).coeffs)
+        g[0] -= 1
+        assert IntPoly(g).deflate(2) == (trace_poly(k, l), 0)
+
+    @pytest.mark.parametrize("k,l", SAMPLE_PAIRS + [(5, 8), (20, 21)])
+    def test_chebyshev_quotient_rescaled(self, k, l):
+        q, r = chebyshev_quotient(k, l), trace_poly(k, l)
+        for x in (Fraction(3), Fraction(-1), Fraction(5, 3), Fraction(-7, 2)):
+            assert q(x / 2) == 2 * r(x)
+
+    @pytest.mark.parametrize("k,l", SAMPLE_PAIRS)
+    def test_spectral_poly_in_trace(self, k, l):
+        r = trace_poly(k, l)
+        for z in (Fraction(2), Fraction(-3), Fraction(1, 2), Fraction(-5, 3)):
+            x = z + 1 / z
+            assert spectral_poly(k, l)(z) == z ** (k + l) * (x - 2) * r(x)
+
+
+class TestLucasMatrix:
+    def test_determinant_is_resultant_with_v_n_minus_two(self):
+        rng = random.Random(61)
+        for _ in range(20):
+            f = IntPoly([rng.randint(-4, 4) for _ in range(rng.randint(1, 5))] + [1])
+            n = rng.randint(1, 12)
+            v_n_minus_two = IntPoly([c - 2 * (i == 0) for i, c in enumerate(lucas_poly(n).coeffs)])
+            det = helpers.det_fractions(lucas_matrix(f, n).to_lists())
+            assert det == resultant(f, v_n_minus_two)
+
+    def test_rejects_non_monic_and_negative_n(self):
+        with pytest.raises(InvalidParams):
+            lucas_matrix(IntPoly([1, 2]), 3)
+        with pytest.raises(InvalidParams):
+            lucas_matrix(IntPoly([5]), 3)
+        with pytest.raises(InvalidParams):
+            lucas_matrix(IntPoly([1, 1]), -1)
+
+    def test_degree_one_ring_is_z(self):
+        # (k, l) = (1, 1): Z[x]/(x - 4) = Z, and the ladder must reduce x to 4
+        for n in (0, 1, 2, 3, 10, 64):
+            assert lucas_matrix(trace_poly(1, 1), n).to_lists() == [[lucas_poly(n)(4) - 2]]
+
+
 class TestChebyshev:
     def test_polynomials(self):
         assert chebyshev_t_poly(0).coeffs == (1,)
@@ -230,7 +300,7 @@ class TestAllOnesPoly:
 
     def test_cyclotomic_identity(self):
         for n in (2, 3, 7):
-            f = all_ones_poly(n) * IntPoly([-1, 1])
+            f = poly_mul(all_ones_poly(n), IntPoly([-1, 1]))
             expected = IntPoly([-1] + [0] * (n - 1) + [1])
             assert f == expected
 
@@ -248,13 +318,13 @@ class TestResultant:
             resultant(IntPoly([0]), IntPoly([1, 1]))
 
     def test_common_root_gives_zero(self):
-        f = IntPoly([-1, 1]) * IntPoly([-2, 1])
-        g = IntPoly([-1, 1]) * IntPoly([5, 1])
+        f = poly_mul(IntPoly([-1, 1]), IntPoly([-2, 1]))
+        g = poly_mul(IntPoly([-1, 1]), IntPoly([5, 1]))
         assert resultant(f, g) == 0
 
     def test_product_over_roots(self):
         # f = (x - 2)(x + 3), res(f, g) = g(2) g(-3) for monic f
-        f = IntPoly([-2, 1]) * IntPoly([3, 1])
+        f = poly_mul(IntPoly([-2, 1]), IntPoly([3, 1]))
         g = IntPoly([1, 4, 1])
         assert resultant(f, g) == g(2) * g(-3)
 
@@ -272,7 +342,7 @@ class TestResultant:
         for _ in range(10):
             mk = lambda d: IntPoly([rng.randint(-4, 4) for _ in range(d)] + [rng.randint(1, 3)])
             f1, f2, g = mk(2), mk(3), mk(2)
-            assert resultant(f1 * f2, g) == resultant(f1, g) * resultant(f2, g)
+            assert resultant(poly_mul(f1, f2), g) == resultant(f1, g) * resultant(f2, g)
 
     def test_against_sylvester_matrix(self):
         rng = random.Random(53)

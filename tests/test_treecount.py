@@ -73,6 +73,14 @@ def test_large_n_subresultant_oracle(n, k, l):
             assert abs(determinant(IntMatrix(minor))) == tau
 
 
+@pytest.mark.parametrize("n", [9, 10, 64, 777])
+@pytest.mark.parametrize("k,l", [(1, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 8)])
+def test_q_ring_oracle(n, k, l):
+    # the count in Z[x]/(R) against the former one in Z[z]/(Q), twice the size
+    tau = tree_count_resultant(GraphParams(n, k, l)).tau
+    assert tau == helpers.tree_count_q_ring(n, k, l) == helpers.tree_count_subresultant(n, k, l)
+
+
 def test_chebyshev_needs_enough_bits():
     # a count near 2.4e31 overflows the integer headroom of 32-bit requests
     p = GraphParams(45, 2, 3)
