@@ -9,10 +9,9 @@ z = (x + sqrt(x^2 - 4))/2.  A equals the Mahler measure of the polynomial,
 so it can also be computed as exp of the average of log|P| over the unit
 circle; the two routes check each other.
 
-Root finding is an Aberth-style simultaneous iteration in mpmath arithmetic:
-deterministic start points on a circle of Fujiwara-bound radius, which
-scales with the roots, Gauss-Seidel updates, and a few deterministic
-restarts at larger radii if an attempt stalls.
+Roots come from mpmath.polyroots, a Durand-Kerner iteration, which needs
+distinct roots; R always has them.  An iteration that does not settle
+raises ConvergenceFailure.
 """
 
 from __future__ import annotations
@@ -59,95 +58,41 @@ class RealApprox:
     error_bound: object
 
 
-def _eval_with_derivative(coeffs, z):
-    p = coeffs[-1]
-    dp = mp.mpc(0)
-    for c in reversed(coeffs[:-1]):
-        dp = dp * z + p
-        p = p * z + c
-    return p, dp
-
-
-def _aberth_attempt(coeffs, deg, radius, twist, max_iter, tol):
-    roots = [
-        radius * mpmath.expjpi(2 * (mp.mpf(j) + twist) / deg) for j in range(deg)
-    ]
-    for _ in range(max_iter):
-        max_step = mp.mpf(0)
-        for j in range(deg):
-            z = roots[j]
-            p, dp = _eval_with_derivative(coeffs, z)
-            if p == 0:
-                continue
-            if dp == 0:
-                roots[j] = z + tol
-                max_step = max(max_step, abs(tol))
-                continue
-            newton = p / dp
-            repel = mp.mpc(0)
-            for i in range(deg):
-                if i != j:
-                    diff = z - roots[i]
-                    if diff == 0:
-                        diff = mp.mpf(2) ** (-mp.prec // 2)
-                    repel += 1 / diff
-            denom = 1 - newton * repel
-            step = newton if denom == 0 else newton / denom
-            roots[j] = z - step
-            scale = max(mp.mpf(1), abs(roots[j]))
-            rel = abs(step) / scale
-            if rel > max_step:
-                max_step = rel
-        if max_step < tol:
-            return roots
-    return None
+# Durand-Kerner sweeps allowed per bit of precision, and the guard bits the
+# iteration and the returned roots carry beyond precision_bits
+SWEEPS_PER_BIT = 4
+GUARD_BITS = 64
 
 
 def poly_roots(poly: IntPoly, precision_bits: int = DEFAULT_PRECISION) -> RootSet:
-    """All roots of an integer polynomial to roughly precision_bits accuracy."""
+    """All roots of an integer polynomial with distinct roots.
+
+    mpmath.polyroots runs Durand-Kerner with GUARD_BITS beyond
+    precision_bits and rounds the roots to precision_bits + GUARD_BITS, the
+    precision callers use them at; a zero root, and the imaginary part of a
+    real root, come back exactly 0.  ConvergenceFailure means the iteration
+    did not settle within its sweep cap.  A repeated root (spectral_poly's
+    double root at z = 1, say) stalls it near sqrt(eps): it may then raise
+    ConvergenceFailure or land anyway, so only distinct roots are promised.
+    """
     if poly.is_zero:
         raise ZeroPolynomial("the zero polynomial has no finite root set")
     if precision_bits < MIN_PRECISION:
         raise ValueError(f"precision_bits must be at least {MIN_PRECISION}")
-    coeffs = list(poly.coeffs)
-    zeros_at_origin = 0
-    while coeffs[0] == 0:
-        coeffs.pop(0)
-        zeros_at_origin += 1
-    deg = len(coeffs) - 1
-    with mp.workprec(precision_bits + 64):
-        found: list = [mp.mpc(0)] * zeros_at_origin
-        if deg > 0:
-            cs = [mp.mpf(c) for c in coeffs]
-            lead = cs[-1]
-            radius = 2 * max(
-                abs(c / lead) ** (mp.mpf(1) / (deg - i)) for i, c in enumerate(cs[:-1])
+    with mp.workprec(precision_bits + GUARD_BITS):
+        try:
+            found = mpmath.polyroots(
+                poly.coeffs[::-1],
+                maxsteps=128 + SWEEPS_PER_BIT * precision_bits,
+                extraprec=GUARD_BITS,
             )
-            tol = mp.mpf(2) ** (-(precision_bits + 8))
-            max_iter = 128 + 4 * precision_bits
-            roots = None
-            for attempt in range(3):
-                roots = _aberth_attempt(
-                    cs,
-                    deg,
-                    radius * mp.mpf(3 + 2 * attempt) / 3,
-                    mp.mpf(1) / (2 * deg) + attempt * mp.mpf(7) / 97,
-                    max_iter,
-                    tol,
-                )
-                if roots is not None:
-                    break
-            if roots is None:
-                raise ConvergenceFailure(
-                    f"Aberth iteration stalled on degree {deg} at {precision_bits} bits"
-                )
-            found.extend(roots)
+        except mp.NoConvergence as exc:
+            raise ConvergenceFailure(
+                f"Durand-Kerner iteration stalled on degree {poly.degree} "
+                f"at {precision_bits} bits"
+            ) from exc
         scale = max(abs(c) for c in poly.coeffs)
-        residual = mp.mpf(0)
-        for z in found:
-            val = abs(poly(mp.mpc(z))) / scale
-            if val > residual:
-                residual = val
+        residual = max((abs(poly(mp.mpc(z))) / scale for z in found), default=mp.mpf(0))
         found.sort(key=lambda z: (mp.re(z), mp.im(z)))
     return RootSet(tuple(found), residual)
 
@@ -167,7 +112,7 @@ def mahler_constant(k: int, l: int, precision_bits: int = DEFAULT_PRECISION) -> 
     rset = poly_roots(trace, precision_bits)
     with mp.workprec(precision_bits + 64):
         margin = mp.mpf(2) ** (-(precision_bits // 4))
-        cs = [mp.mpf(c) for c in trace.coeffs]
+        cs = trace.coeffs[::-1]
         value = mp.mpf(1)
         err_rel = mp.mpf(0)
         for x in rset.roots:
@@ -180,7 +125,7 @@ def mahler_constant(k: int, l: int, precision_bits: int = DEFAULT_PRECISION) -> 
                     f"root pair of modulus {mpmath.nstr(r, 20)} too close to the unit circle"
                 )
             value *= factor
-            q, dq = _eval_with_derivative(cs, x)
+            q, dq = mpmath.polyval(cs, x, derivative=True)
             if dq != 0:
                 err_rel += abs(q / dq) / abs(s)
         floor = mp.mpf(2) ** (-(precision_bits - 8))

@@ -213,6 +213,10 @@ def _justified(approx) -> str:
 
 def cmd_asymptotic(args) -> int:
     k, l = args.k, args.l
+    # normalized before any root or integral: a record holds one graph family
+    p = None if args.ratio_at is None else normalize(args.ratio_at, k, l)
+    if p is not None and (p.k, p.l) != tuple(sorted((k, l))):
+        raise InvalidParams(f"--ratio-at {args.ratio_at} reduces I({p.n},{k},{l}) to {p}")
     root = mahler_constant(k, l, precision_bits=args.precision)
     integral = mahler_integral(k, l)
     diff = abs(root.value - integral.value)
@@ -233,8 +237,7 @@ def cmd_asymptotic(args) -> int:
         f"4-decimal value: {_format_a_cell(root.value)}",
         f"routes agree within bounds: {agree}",
     ]
-    if args.ratio_at is not None:
-        p = normalize(args.ratio_at, k, l)
+    if p is not None:
         count = tree_count_resultant(p)
         ratio = asymptotic_ratio(p, count, root)
         rec["ratio_at"] = {

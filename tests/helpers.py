@@ -103,14 +103,21 @@ def chebyshev_quotient(k, l):
     return quot
 
 
-def tree_count_q_ring(n, k, l):
-    """tau(I(n,k,l)) = n |Res(Q, z^n - 1)| / (k^2 + l^2) for
-    Q = spectral_poly(k, l) / (z - 1)^2, from the determinant of
-    multiplication by z^n - 1 on Z[z]/(Q)."""
+def spectral_quotient(k, l):
+    """Q = spectral_poly(k, l) / (z - 1)^2: the double root at z = 1 divided
+    out, leaving 2(k+l-1) distinct roots in reciprocal pairs."""
     q = spectral_poly(k, l)
     for _ in range(2):
         q, rem = q.deflate(1)
         assert rem == 0
+    return q
+
+
+def tree_count_q_ring(n, k, l):
+    """tau(I(n,k,l)) = n |Res(Q, z^n - 1)| / (k^2 + l^2) for
+    Q = spectral_quotient(k, l), from the determinant of multiplication by
+    z^n - 1 on Z[z]/(Q)."""
+    q = spectral_quotient(k, l)
     tau, rem = divmod(n * abs(determinant(presentation_matrix(q, n))), k * k + l * l)
     assert rem == 0 and tau > 0
     return tau

@@ -13,7 +13,6 @@ from igraphjac import (
     mahler_constant,
     mahler_integral,
     poly_roots,
-    spectral_poly,
     trace_poly,
     tree_count_resultant,
 )
@@ -68,34 +67,17 @@ class TestPolyRoots:
         for value, expected in zip(got, range(1, 9)):
             assert abs(value - expected) < mpmath.mpf(2) ** -80
 
-    @pytest.mark.parametrize("k,l", [(2, 3), (5, 6), (20, 21)])
-    def test_start_radius_scales_with_the_roots(self, monkeypatch, k, l):
-        # the quotient's roots are w = x/2 for the roots x of R, so its start
-        # circle must be half as large; a Cauchy radius is not
-        radii = []
-        attempt = igraphjac.asymptotics._aberth_attempt
-
-        def recording(coeffs, deg, radius, *rest):
-            radii.append(radius)
-            return attempt(coeffs, deg, radius, *rest)
-
-        monkeypatch.setattr(igraphjac.asymptotics, "_aberth_attempt", recording)
-        poly_roots(helpers.chebyshev_quotient(k, l), precision_bits=64)
-        poly_roots(trace_poly(k, l), precision_bits=64)
-        assert len(radii) == 2
-        assert abs(2 * radii[0] - radii[1]) < radii[1] * mpmath.mpf(2) ** -40
-
-    def test_double_root_at_one_from_spectral_poly(self):
-        # multiplicity 2 halves the attainable accuracy but must still land
-        rset = poly_roots(spectral_poly(2, 3), precision_bits=256)
-        near_one = [z for z in rset.roots if abs(z - 1) < mpmath.mpf("1e-10")]
-        assert len(near_one) == 2
+    def test_real_roots_have_exact_zero_imaginary_part(self):
+        # R(2,3) has two real roots, x ~ -2.2043 and 2.3220
+        rset = poly_roots(trace_poly(2, 3), precision_bits=256)
+        real = [z for z in rset.roots if abs(mpmath.im(z)) < mpmath.mpf("1e-30")]
+        assert [mpmath.nstr(mpmath.re(z), 5) for z in real] == ["-2.2043", "2.322"]
+        assert all(mpmath.im(z) == 0 for z in real)
 
     def test_reciprocal_pairing(self):
-        rset = poly_roots(spectral_poly(2, 3), precision_bits=192)
+        rset = poly_roots(helpers.spectral_quotient(2, 3), precision_bits=192)
         with mpmath.workprec(256):
             radii = sorted(abs(z) for z in rset.roots)
-            # the double root at 1 is only good to half precision
             for r, s in zip(radii, reversed(radii)):
                 assert abs(r * s - 1) < mpmath.mpf("1e-25")
 
@@ -131,6 +113,20 @@ class TestMahlerConstant:
             fine = mahler_constant(k, l, precision_bits=256)
             assert abs(coarse.value - fine.value) <= coarse.error_bound
 
+    def test_roots_r_once_per_call(self, monkeypatch):
+        # uncached: perfbench expects one poly_roots call per growth-grid op
+        calls = []
+        real = igraphjac.asymptotics.poly_roots
+
+        def counting(poly, precision_bits):
+            calls.append((poly, precision_bits))
+            return real(poly, precision_bits)
+
+        monkeypatch.setattr(igraphjac.asymptotics, "poly_roots", counting)
+        mahler_constant(2, 3, precision_bits=64)
+        mahler_constant(2, 3, precision_bits=64)
+        assert calls == [(trace_poly(2, 3), 64)] * 2
+
     def test_quotient_root_in_unit_interval_is_rejected(self, monkeypatch):
         # x = 1/2 lies in [-2, 2], so it maps to a pair of roots on the unit circle
         def fake_roots(poly, precision_bits):
@@ -143,7 +139,7 @@ class TestMahlerConstant:
     def test_quotient_root_correspondence(self):
         # outside roots map to Q's roots through w = (z + 1/z) / 2 and to
         # R's through x = 2w, the correspondence mahler_constant inverts
-        rset = poly_roots(spectral_poly(2, 3), precision_bits=192)
+        rset = poly_roots(helpers.spectral_quotient(2, 3), precision_bits=192)
         with mpmath.workprec(256):
             mapped = sorted(
                 mpmath.re((z + 1 / z) / 2)

@@ -235,6 +235,27 @@ class TestAsymptoticCommand:
         ratio = float(records[0]["ratio_at"]["ratio"])
         assert abs(ratio - 1) < 1e-2
 
+    def test_ratio_at_that_changes_the_steps_is_rejected(self, capsys, monkeypatch):
+        # 5 = 1 mod 4: I(4,1,5) is I(4,1,1), another family than A(1,5)
+        def no_roots(*args, **kwargs):
+            raise AssertionError("rooted before checking --ratio-at")
+
+        monkeypatch.setattr(cli, "mahler_constant", no_roots)
+        code = main(["asymptotic", "--k", "1", "--l", "5", "--ratio-at", "4", "--json"])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert captured.out == ""
+        assert "I(4,1,1)" in captured.err
+
+    def test_ratio_at_with_swapped_steps(self, capsys):
+        code, (rec,) = run_json_lines(
+            capsys, ["asymptotic", "--k", "3", "--l", "2", "--ratio-at", "20", "--json"]
+        )
+        assert code == EXIT_OK
+        assert (rec["k"], rec["l"]) == (3, 2)
+        assert rec["ratio_at"]["n"] == 20
+        assert rec["ratio_at"]["tau"] == str(tree_count_kirchhoff(GraphParams(20, 2, 3)).tau)
+
 
 class TestTableCommand:
     def test_jac23_json_matches_published(self, capsys):

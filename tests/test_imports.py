@@ -1,13 +1,16 @@
 """Every name a package module imports is used somewhere in that module,
-and every name it defines at top level is used by some package module."""
+every name it defines at top level is used by some package module, and
+nothing outside the standard library and mpmath is imported."""
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "igraphjac"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+ALLOWED_TOP_LEVEL = set(sys.stdlib_module_names) | {"mpmath", "igraphjac"}
 
 
 def imported_names(tree):
@@ -20,6 +23,20 @@ def imported_names(tree):
                 bound = alias.asname or alias.name.split(".")[0]
                 names[bound] = node.lineno
     return names
+
+
+def foreign_imports(tree):
+    """Top-level packages of the absolute imports outside ALLOWED_TOP_LEVEL."""
+    found = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            tops = [alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            tops = [node.module.split(".")[0]]
+        else:
+            continue
+        found.update((top, node.lineno) for top in tops if top not in ALLOWED_TOP_LEVEL)
+    return found
 
 
 def annotation_nodes(tree):
@@ -93,6 +110,24 @@ def test_no_unused_imports(path):
     used = referenced_names(tree)
     unused = {name: line for name, line in imported_names(tree).items() if name not in used}
     assert not unused, f"{path.name}: imported but never used: {unused}"
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_only_stdlib_and_mpmath(path):
+    # numpy may be installed, but the only runtime dependency is mpmath
+    foreign = foreign_imports(ast.parse(path.read_text()))
+    assert not foreign, f"{path.name}: imports outside stdlib and mpmath: {foreign}"
+
+
+def test_dependency_scan_flags_foreign_imports():
+    tree = ast.parse(
+        "import os.path, numpy as np\n"
+        "from scipy.linalg import det\n"
+        "from mpmath import mp\n"
+        "from . import polyring\n"
+        "from .errors import InvalidParams\n"
+    )
+    assert set(foreign_imports(tree)) == {"numpy", "scipy"}
 
 
 def test_scan_sees_string_annotations():

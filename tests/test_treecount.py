@@ -1,6 +1,7 @@
 import pytest
 
 import helpers
+import igraphjac.treecount
 from igraphjac import (
     GraphParams,
     IntMatrix,
@@ -15,6 +16,7 @@ from igraphjac import (
     tree_count_chebyshev,
     tree_count_kirchhoff,
     tree_count_resultant,
+    trace_poly,
 )
 
 ALL_METHODS = (tree_count_kirchhoff, tree_count_resultant, tree_count_chebyshev)
@@ -86,6 +88,29 @@ def test_chebyshev_needs_enough_bits():
     p = GraphParams(45, 2, 3)
     with pytest.raises(PrecisionExhausted):
         tree_count_chebyshev(p, precision_bits=32)
+
+
+def test_chebyshev_roots_r_once_per_key(monkeypatch):
+    # _quotient_roots caches one root set per (k, l, precision) for a sweep
+    calls = []
+    real = igraphjac.treecount.poly_roots
+
+    def counting(poly, precision_bits):
+        calls.append((poly, precision_bits))
+        return real(poly, precision_bits)
+
+    monkeypatch.setattr(igraphjac.treecount, "poly_roots", counting)
+    igraphjac.treecount._quotient_roots.cache_clear()
+    for n in range(5, 12):
+        tree_count_chebyshev(GraphParams(n, 2, 3), precision_bits=96)
+    for n in (5, 6):
+        tree_count_chebyshev(GraphParams(n, 2, 3), precision_bits=128)
+        tree_count_chebyshev(GraphParams(n, 1, 2), precision_bits=96)
+    assert calls == [
+        (trace_poly(2, 3), 96),
+        (trace_poly(2, 3), 128),
+        (trace_poly(1, 2), 96),
+    ]
 
 
 def test_divisibility_and_cube_bound():
