@@ -1,58 +1,26 @@
 """Exact Jacobian groups, spanning tree counts and tree-growth constants of I-graphs."""
 
-from .bigmat import (
-    IntMatrix,
-    SmithForm,
-    determinant,
-    smith_normal_form,
-)
-from .errors import (
-    ClassificationFailure,
-    ConvergenceFailure,
-    DimensionMismatch,
-    DisconnectedError,
-    InternalInconsistency,
-    InvalidParams,
-    LoopError,
-    NotASquare,
-    PrecisionExhausted,
-    QuadratureFailure,
-    ZeroPolynomial,
-)
-from .igraph import DEGREE, DENSE_CEILING, GraphParams, adjacency_matrix, laplacian_matrix, normalize
-from .jacobian import (
-    LAPLACIAN_GATE,
-    AbelianGroup,
-    group_from_smith,
-    jacobian_via_companion,
-    jacobian_via_laplacian,
-    rank_bounds_report,
-)
-from .polyring import (
-    IntPoly,
-    lucas_matrix,
-    presentation_matrix,
-    spectral_poly,
-    trace_poly,
-)
-from .treecount import (
-    ROUNDING_GUARD,
-    Decomposition,
-    TreeCount,
-    check_lower_bound,
-    decompose,
-    tree_count_chebyshev,
-    tree_count_kirchhoff,
-    tree_count_resultant,
-)
-from .asymptotics import (
-    DEFAULT_PRECISION,
-    RealApprox,
-    RootSet,
-    asymptotic_ratio,
-    mahler_constant,
-    mahler_integral,
-    poly_roots,
-)
+from .asymptotics import mahler_constant, mahler_integral
+from .igraph import DENSE_CEILING, normalize
+from .jacobian import jacobian_via_companion, jacobian_via_laplacian
+from .polyring import lucas_matrix, presentation_matrix, spectral_poly, trace_poly
+from .treecount import decompose, tree_count_chebyshev, tree_count_kirchhoff, tree_count_resultant
+
+__all__ = [
+    "normalize",
+    "decompose",
+    "jacobian_via_companion",
+    "jacobian_via_laplacian",
+    "tree_count_resultant",
+    "tree_count_kirchhoff",
+    "tree_count_chebyshev",
+    "mahler_constant",
+    "mahler_integral",
+    "spectral_poly",
+    "trace_poly",
+    "presentation_matrix",
+    "lucas_matrix",
+    "DENSE_CEILING",
+]
 
 __version__ = "0.1.0"

@@ -62,6 +62,8 @@ class RealApprox:
 # iteration and the returned roots carry beyond precision_bits
 SWEEPS_PER_BIT = 4
 GUARD_BITS = 64
+# Bits mahler_integral works at, whatever precision the caller asked for
+INTEGRAL_PRECISION = 192
 
 
 def poly_roots(poly: IntPoly, precision_bits: int = DEFAULT_PRECISION) -> RootSet:
@@ -133,8 +135,11 @@ def mahler_constant(k: int, l: int, precision_bits: int = DEFAULT_PRECISION) -> 
     return RealApprox(value, bound)
 
 
-def mahler_integral(k: int, l: int, precision_bits: int = 192) -> RealApprox:
+def mahler_integral(k: int, l: int) -> RealApprox:
     """exp of the mean of log|spectral_poly| over the unit circle.
+
+    Always runs at INTEGRAL_PRECISION bits and ignores `asymptotic
+    --precision`, which sets only the root product's precision.
 
     On the circle the polynomial is the real expression
     (3 - 2cos(2 pi k t))(3 - 2cos(2 pi l t)) - 1, positive except for the
@@ -144,7 +149,7 @@ def mahler_integral(k: int, l: int, precision_bits: int = 192) -> RealApprox:
     a sum of tiny positives instead of a catastrophic cancellation.
     """
     _check_steps(k, l)
-    with mp.workprec(precision_bits + 32):
+    with mp.workprec(INTEGRAL_PRECISION + 32):
 
         def integrand(t):
             u = 4 * mpmath.sinpi(k * t) ** 2
@@ -156,14 +161,14 @@ def mahler_integral(k: int, l: int, precision_bits: int = 192) -> RealApprox:
         )
         est *= 2
         err *= 2
-        tolerance = mp.mpf(2) ** (-(precision_bits // 2))
+        tolerance = mp.mpf(2) ** (-(INTEGRAL_PRECISION // 2))
         if err > tolerance:
             raise QuadratureFailure(
                 f"integral error estimate {mpmath.nstr(err, 5)} exceeds "
                 f"tolerance {mpmath.nstr(tolerance, 5)}"
             )
         value = mpmath.exp(est)
-        bound = value * (100 * err + mp.mpf(2) ** (-(precision_bits - 8)))
+        bound = value * (100 * err + mp.mpf(2) ** (-(INTEGRAL_PRECISION - 8)))
     return RealApprox(value, bound)
 
 

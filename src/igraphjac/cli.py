@@ -40,7 +40,6 @@ from .errors import (
     DisconnectedError,
     InternalInconsistency,
     InvalidParams,
-    LoopError,
     PrecisionExhausted,
     QuadratureFailure,
 )
@@ -191,7 +190,7 @@ def _sweep(args) -> int:
     for n in args.n:
         try:
             p = normalize(n, args.k, args.l)
-        except (DisconnectedError, LoopError, InvalidParams) as exc:
+        except InvalidParams as exc:
             rec = _error_record(n, args.k, args.l, exc)
             _emit(rec, args.json, f"I({n},{args.k},{args.l})  skipped: {rec['detail']}")
             continue
@@ -396,7 +395,7 @@ def main(argv=None) -> int:
     except InternalInconsistency as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
         return EXIT_INCONSISTENT
-    except (InvalidParams, LoopError, DisconnectedError) as exc:
+    except InvalidParams as exc:
         print(f"invalid parameters: {exc}", file=sys.stderr)
         return EXIT_USAGE
     finally:

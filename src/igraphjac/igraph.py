@@ -1,4 +1,4 @@
-"""Parameters and matrices of the I-graph family I(n, k, l).
+"""Parameters and the Laplacian of the I-graph family I(n, k, l).
 
 I(n, k, l) has 2n vertices u_0..u_{n-1}, v_0..v_{n-1} and the 3n edges
 u_i ~ u_{i+k}, u_i ~ v_i, v_i ~ v_{i+l} (indices mod n).  I(n, k, 1) is the
@@ -85,38 +85,23 @@ def normalize(n: int, k: int, l: int) -> GraphParams:
     return GraphParams(n, k0, l0, normalized=changed)
 
 
-def _circulant_sum(n: int, step: int) -> list[list[int]]:
-    """Rows of T^step + T^-step for the n-cycle shift T (entries 2 if 2*step = n)."""
-    rows = []
-    for i in range(n):
-        row = [0] * n
-        row[(i + step) % n] += 1
-        row[(i - step) % n] += 1
-        rows.append(row)
-    return rows
+def laplacian_matrix(p: GraphParams) -> IntMatrix:
+    """2n x 2n Laplacian 3*I - A, rows u_0..u_{n-1} then v_0..v_{n-1}.
 
-
-def adjacency_matrix(p: GraphParams) -> IntMatrix:
-    """2n x 2n adjacency matrix in block form [[C_n^k, I], [I, C_n^l]]."""
+    Each vertex has DEGREE on the diagonal and -1 per edge: its two step
+    neighbours and its spoke.  A step of n/2 reaches the same neighbour both
+    ways, so that entry is -2; every row sums to zero.
+    """
     n = p.n
     if n > DENSE_CEILING:
         raise InvalidParams(f"n={n} exceeds the dense matrix ceiling ({DENSE_CEILING})")
-    top = _circulant_sum(n, p.k)
-    bottom = _circulant_sum(n, p.l)
     rows = []
-    for i in range(n):
-        rows.append(top[i] + [1 if j == i else 0 for j in range(n)])
-    for i in range(n):
-        rows.append([1 if j == i else 0 for j in range(n)] + bottom[i])
+    for offset, step in ((0, p.k), (n, p.l)):
+        for i in range(n):
+            row = [0] * (2 * n)
+            row[offset + i] = DEGREE
+            row[offset + (i + step) % n] -= 1
+            row[offset + (i - step) % n] -= 1
+            row[n - offset + i] = -1  # the spoke to the other layer
+            rows.append(row)
     return IntMatrix(rows)
-
-
-def laplacian_matrix(p: GraphParams) -> IntMatrix:
-    """Laplacian 3*I - A; every row sums to zero since the graph is cubic."""
-    adj = adjacency_matrix(p)
-    data = adj.to_lists()
-    for i, row in enumerate(data):
-        for j, v in enumerate(row):
-            row[j] = -v
-        row[i] += DEGREE
-    return IntMatrix(data)

@@ -83,6 +83,7 @@ def tree_count_resultant(p: GraphParams) -> TreeCount:
     return TreeCount(tau)
 
 
+# perfbench/worker.py reads cache_info() by this name, so the old "quotient" name stays
 @lru_cache(maxsize=None)
 def _quotient_roots(k: int, l: int, precision_bits: int):
     return poly_roots(trace_poly(k, l), precision_bits).roots
@@ -115,7 +116,7 @@ def tree_count_chebyshev(p: GraphParams, precision_bits: int = DEFAULT_PRECISION
             )
         if distance >= ROUNDING_GUARD:
             raise PrecisionExhausted(
-                f"pre-rounding distance {mpmath.nstr(distance, 8)} at "
+                f"count is not within {ROUNDING_GUARD} of an integer at "
                 f"{precision_bits} bits; increase precision_bits"
             )
         tau = int(mpmath.nint(value))

@@ -10,11 +10,6 @@ from dataclasses import dataclass
 import pytest
 
 from igraphjac import (
-    AbelianGroup,
-    Decomposition,
-    GraphParams,
-    LoopError,
-    TreeCount,
     decompose,
     jacobian_via_companion,
     jacobian_via_laplacian,
@@ -23,6 +18,10 @@ from igraphjac import (
     tree_count_kirchhoff,
     tree_count_resultant,
 )
+from igraphjac.errors import LoopError
+from igraphjac.igraph import GraphParams
+from igraphjac.jacobian import AbelianGroup
+from igraphjac.treecount import Decomposition, TreeCount
 
 GRID_PAIRS = ((1, 1), (1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (2, 3), (2, 5), (3, 4))
 GRID_N = range(3, 41)

@@ -17,15 +17,10 @@ is the diagnostic that tallies square decompositions by parity.
 from fractions import Fraction
 from math import gcd
 
-from igraphjac import (
-    DimensionMismatch,
-    IntMatrix,
-    IntPoly,
-    ZeroPolynomial,
-    determinant,
-    presentation_matrix,
-    spectral_poly,
-)
+from igraphjac import presentation_matrix, spectral_poly
+from igraphjac.bigmat import IntMatrix, determinant
+from igraphjac.errors import DimensionMismatch, ZeroPolynomial
+from igraphjac.polyring import IntPoly
 
 
 def identity(n):
@@ -152,14 +147,6 @@ def igraph_edge_list(n, k, l):
         edges.append((n + i, n + (i + l) % n))
         edges.append((i, n + i))
     return edges
-
-
-def adjacency_from_edges(num_vertices, edges):
-    a = [[0] * num_vertices for _ in range(num_vertices)]
-    for x, y in edges:
-        a[x][y] += 1
-        a[y][x] += 1
-    return a
 
 
 def laplacian_from_edges(num_vertices, edges):

@@ -15,17 +15,17 @@ import expected_tables
 import helpers
 from conftest import GRID_PAIRS
 from igraphjac import (
-    GraphParams,
-    IntPoly,
-    TreeCount,
-    asymptotic_ratio,
     jacobian_via_companion,
     mahler_constant,
     mahler_integral,
     normalize,
-    rank_bounds_report,
     tree_count_resultant,
 )
+from igraphjac.asymptotics import asymptotic_ratio
+from igraphjac.igraph import GraphParams
+from igraphjac.jacobian import rank_bounds_report
+from igraphjac.polyring import IntPoly
+from igraphjac.treecount import TreeCount
 from igraphjac.cli import EXIT_OK, main
 
 

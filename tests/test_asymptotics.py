@@ -3,19 +3,11 @@ import pytest
 
 import helpers
 import igraphjac.asymptotics
-from igraphjac import (
-    ClassificationFailure,
-    GraphParams,
-    IntPoly,
-    RootSet,
-    ZeroPolynomial,
-    asymptotic_ratio,
-    mahler_constant,
-    mahler_integral,
-    poly_roots,
-    trace_poly,
-    tree_count_resultant,
-)
+from igraphjac import mahler_constant, mahler_integral, trace_poly, tree_count_resultant
+from igraphjac.asymptotics import RootSet, asymptotic_ratio, poly_roots
+from igraphjac.errors import ClassificationFailure, ZeroPolynomial
+from igraphjac.igraph import GraphParams
+from igraphjac.polyring import IntPoly
 
 
 def sorted_reals(roots):

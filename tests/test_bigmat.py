@@ -4,13 +4,8 @@ from math import gcd
 import pytest
 
 import helpers
-from igraphjac import (
-    DimensionMismatch,
-    IntMatrix,
-    SmithForm,
-    determinant,
-    smith_normal_form,
-)
+from igraphjac.bigmat import IntMatrix, SmithForm, determinant, smith_normal_form
+from igraphjac.errors import DimensionMismatch
 from helpers import mat_mul, mat_pow
 
 

@@ -2,16 +2,11 @@ import json
 
 import pytest
 
-from igraphjac import (
-    DENSE_CEILING,
-    AbelianGroup,
-    GraphParams,
-    InternalInconsistency,
-    TreeCount,
-    jacobian_via_laplacian,
-    tree_count_kirchhoff,
-)
-from igraphjac import cli
+from igraphjac import DENSE_CEILING, cli, jacobian_via_laplacian, tree_count_kirchhoff
+from igraphjac.errors import InternalInconsistency
+from igraphjac.igraph import GraphParams
+from igraphjac.jacobian import AbelianGroup
+from igraphjac.treecount import ROUNDING_GUARD, TreeCount
 from igraphjac.cli import EXIT_INCONSISTENT, EXIT_OK, EXIT_PRECISION, EXIT_USAGE, main
 
 import expected_tables
@@ -138,6 +133,18 @@ class TestTreesCommand:
         code, (rec,) = run_json_lines(capsys, argv[:2] + ["45"] + argv[3:])
         assert code == EXIT_PRECISION
         assert rec["error"] == "PrecisionExhausted"
+
+    def test_precision_record_names_the_rounding_guard(self, capsys):
+        # the detail states the test that failed, not root-noise digits
+        argv = ["trees", "--n", "136", "--k", "2", "--l", "3", "--method", "chebyshev", "--json"]
+        code, (rec,) = run_json_lines(capsys, argv)
+        assert code == EXIT_PRECISION
+        assert rec == {
+            "params": {"n": 136, "k": 2, "l": 3},
+            "error": "PrecisionExhausted",
+            "detail": f"count is not within {ROUNDING_GUARD} of an integer at 256 bits; "
+                      "increase precision_bits",
+        }
 
     def test_inconsistency_outranks_precision_failure(self, capsys, monkeypatch):
         chebyshev = cli.tree_count_chebyshev

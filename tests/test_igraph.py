@@ -1,16 +1,9 @@
 import pytest
 
 import helpers
-from igraphjac import (
-    DEGREE,
-    DisconnectedError,
-    GraphParams,
-    InvalidParams,
-    LoopError,
-    adjacency_matrix,
-    laplacian_matrix,
-    normalize,
-)
+from igraphjac import normalize
+from igraphjac.errors import DisconnectedError, InvalidParams, LoopError
+from igraphjac.igraph import DEGREE, GraphParams, laplacian_matrix
 
 
 class TestNormalize:
@@ -90,27 +83,6 @@ class TestGraphParams:
         assert GraphParams(5, 1, 2) == GraphParams(5, 1, 2, normalized=True)
 
 
-@pytest.mark.parametrize("n,k,l", [(5, 1, 2), (4, 2, 3), (6, 1, 1), (9, 2, 3), (8, 3, 4)])
-def test_adjacency_matches_edge_list(n, k, l):
-    p = GraphParams(n, k, l)
-    edges = helpers.igraph_edge_list(n, k, l)
-    assert adjacency_matrix(p).to_lists() == helpers.adjacency_from_edges(2 * n, edges)
-
-
-def test_adjacency_is_symmetric_and_cubic():
-    p = GraphParams(7, 2, 3)
-    a = adjacency_matrix(p).to_lists()
-    assert all(a[i][j] == a[j][i] for i in range(14) for j in range(14))
-    assert all(sum(row) == DEGREE for row in a)
-    assert all(a[i][i] == 0 for i in range(14))
-
-def test_half_n_step_doubles_the_edge():
-    # I(4,2,3): step 2 on 4 vertices pairs i with i+2 twice
-    a = adjacency_matrix(GraphParams(4, 2, 3)).to_lists()
-    assert a[0][2] == 2
-    assert a[1][3] == 2
-
-
 def test_laplacian_rows_sum_to_zero():
     p = GraphParams(6, 2, 3)
     lap = laplacian_matrix(p).to_lists()
@@ -119,7 +91,13 @@ def test_laplacian_rows_sum_to_zero():
 
 
 def test_laplacian_matches_edge_list_build():
-    for n, k, l in [(5, 1, 2), (4, 2, 3), (10, 3, 4)]:
-        p = GraphParams(n, k, l)
+    for n, k, l in [(5, 1, 2), (4, 2, 3), (6, 1, 1), (9, 2, 3), (8, 3, 4), (10, 3, 4)]:
+        lap = laplacian_matrix(GraphParams(n, k, l)).to_lists()
         edges = helpers.igraph_edge_list(n, k, l)
-        assert laplacian_matrix(p).to_lists() == helpers.laplacian_from_edges(2 * n, edges)
+        assert lap == helpers.laplacian_from_edges(2 * n, edges)
+        assert all(lap[i][j] == lap[j][i] for i in range(2 * n) for j in range(2 * n))
+        assert all(sum(row) == 0 for row in lap)
+    # I(4,2,3): step 2 on 4 vertices pairs i with i+2 twice, a doubled edge
+    lap = laplacian_matrix(GraphParams(4, 2, 3)).to_lists()
+    assert lap[0][2] == -2
+    assert lap[1][3] == -2

@@ -1,14 +1,19 @@
 """Every name a package module imports is used somewhere in that module,
-every name it defines at top level is used by some package module, and
-nothing outside the standard library and mpmath is imported."""
+every name it defines at top level is used by some package module, nothing
+outside the standard library and mpmath is imported, and the package
+namespace exports exactly the API the README documents."""
 
 import ast
 import sys
 from pathlib import Path
+from types import ModuleType
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "igraphjac"
+import igraphjac
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "igraphjac"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 ALLOWED_TOP_LEVEL = set(sys.stdlib_module_names) | {"mpmath", "igraphjac"}
 
@@ -155,3 +160,14 @@ def test_definition_scan_sees_imports_and_stores():
         "b": ast.parse("from .a import f\nf()\n"),
     }
     assert set(unused_definitions(trees)) == {"a.X", "a.Z", "a.g"}
+
+
+def test_namespace_is_the_documented_api():
+    public = {
+        name for name, value in vars(igraphjac).items()
+        if not name.startswith("_") and not isinstance(value, ModuleType)
+    }
+    assert public == set(igraphjac.__all__)
+    readme = (ROOT / "README.md").read_text()
+    undocumented = [name for name in igraphjac.__all__ if name not in readme]
+    assert not undocumented, f"exported but not in README.md: {undocumented}"

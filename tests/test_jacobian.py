@@ -4,20 +4,16 @@ import helpers
 import igraphjac.jacobian
 from igraphjac import (
     DENSE_CEILING,
-    LAPLACIAN_GATE,
-    AbelianGroup,
-    GraphParams,
-    InternalInconsistency,
-    InvalidParams,
-    SmithForm,
-    TreeCount,
-    group_from_smith,
     jacobian_via_companion,
     jacobian_via_laplacian,
-    rank_bounds_report,
     tree_count_kirchhoff,
     tree_count_resultant,
 )
+from igraphjac.bigmat import SmithForm
+from igraphjac.errors import InternalInconsistency, InvalidParams
+from igraphjac.igraph import GraphParams
+from igraphjac.jacobian import LAPLACIAN_GATE, AbelianGroup, group_from_smith, rank_bounds_report
+from igraphjac.treecount import TreeCount
 
 
 class TestAbelianGroup:

@@ -14,17 +14,10 @@ from helpers import (
     poly_mul,
     resultant,
 )
-from igraphjac import (
-    IntMatrix,
-    IntPoly,
-    InvalidParams,
-    ZeroPolynomial,
-    determinant,
-    lucas_matrix,
-    presentation_matrix,
-    spectral_poly,
-    trace_poly,
-)
+from igraphjac import lucas_matrix, presentation_matrix, spectral_poly, trace_poly
+from igraphjac.bigmat import IntMatrix, determinant
+from igraphjac.errors import InvalidParams, ZeroPolynomial
+from igraphjac.polyring import IntPoly
 
 SAMPLE_PAIRS = [(1, 1), (1, 2), (2, 3), (3, 4), (2, 5), (4, 5)]
 

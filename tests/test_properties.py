@@ -11,14 +11,14 @@ import pytest
 
 import helpers
 from igraphjac import (
-    InvalidParams,
     jacobian_via_companion,
     jacobian_via_laplacian,
-    laplacian_matrix,
     normalize,
     tree_count_kirchhoff,
     tree_count_resultant,
 )
+from igraphjac.errors import InvalidParams
+from igraphjac.igraph import laplacian_matrix
 
 pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402

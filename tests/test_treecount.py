@@ -3,21 +3,20 @@ import pytest
 import helpers
 import igraphjac.treecount
 from igraphjac import (
-    GraphParams,
-    IntMatrix,
-    PrecisionExhausted,
-    check_lower_bound,
     decompose,
-    determinant,
     jacobian_via_companion,
     normalize,
     presentation_matrix,
     spectral_poly,
+    trace_poly,
     tree_count_chebyshev,
     tree_count_kirchhoff,
     tree_count_resultant,
-    trace_poly,
 )
+from igraphjac.bigmat import IntMatrix, determinant
+from igraphjac.errors import PrecisionExhausted
+from igraphjac.igraph import GraphParams
+from igraphjac.treecount import check_lower_bound
 
 ALL_METHODS = (tree_count_kirchhoff, tree_count_resultant, tree_count_chebyshev)
 
