@@ -149,6 +149,14 @@ def igraph_edge_list(n, k, l):
     return edges
 
 
+def adjacency_from_edges(num_vertices, edges):
+    a = [[0] * num_vertices for _ in range(num_vertices)]
+    for x, y in edges:
+        a[x][y] += 1
+        a[y][x] += 1
+    return a
+
+
 def laplacian_from_edges(num_vertices, edges):
     m = [[0] * num_vertices for _ in range(num_vertices)]
     for x, y in edges:

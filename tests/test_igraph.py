@@ -83,6 +83,34 @@ class TestGraphParams:
         assert GraphParams(5, 1, 2) == GraphParams(5, 1, 2, normalized=True)
 
 
+def adjacency(p):
+    """A = DEGREE*I - L, read back off the Laplacian of the cubic graph."""
+    lap = laplacian_matrix(p).to_lists()
+    return [[(DEGREE if i == j else 0) - x for j, x in enumerate(row)] for i, row in enumerate(lap)]
+
+
+@pytest.mark.parametrize("n,k,l", [(5, 1, 2), (4, 2, 3), (6, 1, 1), (9, 2, 3), (8, 3, 4)])
+def test_adjacency_matches_edge_list(n, k, l):
+    p = GraphParams(n, k, l)
+    edges = helpers.igraph_edge_list(n, k, l)
+    assert adjacency(p) == helpers.adjacency_from_edges(2 * n, edges)
+
+
+def test_adjacency_is_symmetric_and_cubic():
+    p = GraphParams(7, 2, 3)
+    a = adjacency(p)
+    assert all(a[i][j] == a[j][i] for i in range(14) for j in range(14))
+    assert all(sum(row) == DEGREE for row in a)
+    assert all(a[i][i] == 0 for i in range(14))
+
+
+def test_half_n_step_doubles_the_edge():
+    # I(4,2,3): step 2 on 4 vertices pairs i with i+2 twice
+    a = adjacency(GraphParams(4, 2, 3))
+    assert a[0][2] == 2
+    assert a[1][3] == 2
+
+
 def test_laplacian_rows_sum_to_zero():
     p = GraphParams(6, 2, 3)
     lap = laplacian_matrix(p).to_lists()
