@@ -2,8 +2,8 @@
 
 Everything here works on arbitrary-precision Python ints: fraction-free
 determinants (Bareiss) and the Smith normal form by elimination with
-smallest-pivot selection, over Z or modulo a known multiple of the torsion
-order.  No floating point.
+smallest-pivot selection, over Z or modulo a multiple of the largest
+invariant factor (the exponent).  No floating point.
 """
 
 from __future__ import annotations
@@ -224,11 +224,13 @@ def smith_normal_form(m: IntMatrix, modulus: int = 0) -> SmithForm:
     | ... of m with zeros last or, given a modulus D, gcd(d_i, D) for each
     (so a zero factor comes back as D).  Modulo D every entry is kept as its
     residue of least magnitude, valid because the lattice spanned by
-    [m | D*I] always contains D*Z^rows; with D a known multiple of the
-    torsion order this bounds the entries (Hafner-McCurley modulo-determinant
-    normal forms).  Elimination pivots on the smallest-magnitude nonzero
-    entry and repairs the divisibility chain by folding offending rows into
-    the pivot row.
+    [m | D*I] always contains D*Z^rows, which bounds the entries by D
+    (Hafner-McCurley modulo-determinant normal forms).  The nonzero factors
+    are exact when D is a multiple of the largest invariant factor (the
+    exponent); a caller that knows the torsion order can test that, since
+    the gcds multiply to it only then.  Elimination pivots on the
+    smallest-magnitude nonzero entry and repairs the divisibility chain by
+    folding offending rows into the pivot row.
     """
     if modulus < 0:
         raise ValueError("modulus must be nonnegative")

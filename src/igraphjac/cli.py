@@ -67,7 +67,8 @@ SEVERITY = (EXIT_OK, EXIT_PRECISION, EXIT_INCONSISTENT)  # a sweep exits with th
 PRECISION_ERRORS = (PrecisionExhausted, ConvergenceFailure, ClassificationFailure, QuadratureFailure)
 
 
-def _parse_range(text: str) -> list[int]:
+def _parse_range(text: str) -> range:
+    # a range, not a list: a sweep over 10^8 values of n starts at once
     if ".." in text:
         lo_text, _, hi_text = text.partition("..")
         try:
@@ -76,11 +77,12 @@ def _parse_range(text: str) -> list[int]:
             raise argparse.ArgumentTypeError(f"bad range {text!r}; expected a..b")
         if lo > hi:
             raise argparse.ArgumentTypeError(f"empty range {text!r}")
-        return list(range(lo, hi + 1))
+        return range(lo, hi + 1)
     try:
-        return [int(text)]
+        n = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad value {text!r}; expected int or a..b")
+    return range(n, n + 1)
 
 
 def _parse_precision(text: str) -> int:
@@ -183,7 +185,7 @@ def _sweep(args) -> int:
     A dense route asked for above DENSE_CEILING fails the whole command
     before any record, so that no sweep stops halfway.
     """
-    top = max(args.n)
+    top = args.n[-1]
     if top > DENSE_CEILING and DENSE_ROUTES.intersection(_route_names(args, top)):
         raise InvalidParams(f"--method {args.method} is capped at n = {DENSE_CEILING}, got {top}")
     status = EXIT_OK

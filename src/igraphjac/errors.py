@@ -35,8 +35,12 @@ class InternalInconsistency(ArithmeticError):
     """Two routes that must agree exactly have produced different answers."""
 
 
-class NotASquare(ArithmeticError):
-    """An integer expected to be a perfect square is not one."""
+class NotASquare(InternalInconsistency):
+    """An integer expected to be a perfect square is not one.
+
+    Every exact tree count splits as multiplier * n * a^2, so a count that
+    does not is a failed cross-check.
+    """
 
 
 class PrecisionExhausted(ArithmeticError):

@@ -5,8 +5,12 @@ Route two compresses the cokernel first: with P the monic polynomial
 spectral_poly(k, l), coker(L) is isomorphic to Z[z]/(P, z^n - 1), which the
 2(k+l) x 2(k+l) matrix M of multiplication by z^n - 1 on Z[z]/(P) presents
 whatever the value of n.  M has rank 2(k+l) - 1 and its torsion has order
-tau, the spanning tree count, so the Smith form of M is taken modulo the tau
-that treecount computes in the other ring Z[x]/(R), x = z + 1/z.
+tau, the spanning tree count, which treecount computes in the other ring
+Z[x]/(R), x = z + 1/z.  The Smith form of M is taken modulo D = multiplier *
+n * a from the square split tau = multiplier * n * a^2, which has half the
+bits of tau and has been a multiple of the largest invariant factor (the
+exponent) on every graph tried, and modulo tau only if the factors found
+modulo D do not multiply to tau.
 Both return the torsion part plus a free rank, which is 1 for every
 connected I-graph.
 """
@@ -20,7 +24,7 @@ from .bigmat import SmithForm, smith_normal_form
 from .errors import InternalInconsistency
 from .igraph import GraphParams, laplacian_matrix
 from .polyring import presentation_matrix, spectral_poly
-from .treecount import tree_count_resultant
+from .treecount import decompose, tree_count_resultant
 
 # Above this n the command line's auto method leaves the dense Laplacian
 # routes for the ring-kernel ones.
@@ -79,18 +83,25 @@ def jacobian_via_companion(p: GraphParams) -> AbelianGroup:
     """Torsion of coker(M), M = multiplication by z^n - 1 on Z[z]/(P).
 
     The torsion order is tau, which tree_count_resultant computes in
-    Z[x]/(R) with R = trace_poly(k, l).  The Smith form is then taken modulo
-    tau; its last factor must come back as tau and the others must multiply
-    to tau, a check that compares the two rings.
+    Z[x]/(R) with R = trace_poly(k, l).  Modulo a modulus D the Smith form
+    returns gcd(d_i, D) for each invariant factor d_i, so the factors
+    multiply to tau only if every d_i divides D, and they are then exact.
+    The form is taken modulo D = multiplier * n * a from decompose first and
+    modulo tau if that check fails; each time the zero factor must come back
+    as the modulus and the others must multiply to tau, a check that
+    compares the two rings.
     """
     m = presentation_matrix(spectral_poly(p.k, p.l), p.n)
-    tau = tree_count_resultant(p).tau
-    *torsion, last = smith_normal_form(m, modulus=tau).invariant_factors
-    if last != tau or prod(torsion) != tau:
-        raise InternalInconsistency(
-            f"Smith form modulo tau={tau} gave {torsion + [last]} for {p}"
-        )
-    return AbelianGroup(torsion=tuple(d for d in torsion if d > 1), free_rank=1)
+    count = tree_count_resultant(p)
+    tau = count.tau
+    dec = decompose(count, p)
+    for modulus in (dec.multiplier * p.n * dec.a, tau):
+        *torsion, last = smith_normal_form(m, modulus=modulus).invariant_factors
+        if last == modulus and prod(torsion) == tau:
+            return AbelianGroup(torsion=tuple(d for d in torsion if d > 1), free_rank=1)
+    raise InternalInconsistency(
+        f"Smith form modulo tau={tau} gave {torsion + [last]} for {p}"
+    )
 
 
 def rank_bounds_report(p: GraphParams, g: AbelianGroup) -> dict:

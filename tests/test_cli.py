@@ -181,6 +181,18 @@ class TestTreesCommand:
                           f"resultant={TreeCount(tau + n)}"):
                 assert value in rec["detail"]
 
+    def test_count_that_is_not_a_square_gives_error_records(self, capsys, monkeypatch):
+        # 2 tau = multiplier * n * 2a^2 fails the square split of the summary
+        resultant = cli.tree_count_resultant
+        monkeypatch.setattr(cli, "tree_count_resultant", lambda p: TreeCount(2 * resultant(p).tau))
+        code, records = run_json_lines(
+            capsys,
+            ["trees", "--n", "10..12", "--k", "2", "--l", "3", "--method", "resultant", "--json"],
+        )
+        assert code == EXIT_INCONSISTENT
+        assert [rec["params"]["n"] for rec in records] == [10, 11, 12]
+        assert all(rec["error"] == "NotASquare" for rec in records)
+
     def test_dense_route_above_ceiling_is_usage_error(self, capsys):
         # the whole command fails up front: no sweep stops halfway
         code = main(["trees", "--n", "395..405", "--k", "2", "--l", "3",
@@ -340,6 +352,13 @@ class TestErrorsAndUsage:
         with pytest.raises(SystemExit) as info:
             main(["trees", "--n", "9..4", "--k", "1", "--l", "2"])
         assert info.value.code == EXIT_USAGE
+
+    def test_range_is_not_materialised(self):
+        # a list of 10^12 ints would not fit in memory; never iterate this
+        values = cli._parse_range("3..1000000000002")
+        assert len(values) == 10**12
+        assert values[-1] == 1000000000002
+        assert cli._parse_range("7") == range(7, 8)
 
     def test_missing_subcommand(self, capsys):
         with pytest.raises(SystemExit) as info:

@@ -9,11 +9,11 @@ from igraphjac import (
     tree_count_kirchhoff,
     tree_count_resultant,
 )
-from igraphjac.bigmat import SmithForm
+from igraphjac.bigmat import SmithForm, smith_normal_form
 from igraphjac.errors import InternalInconsistency, InvalidParams
-from igraphjac.igraph import GraphParams
+from igraphjac.igraph import GraphParams, normalize
 from igraphjac.jacobian import LAPLACIAN_GATE, AbelianGroup, group_from_smith, rank_bounds_report
-from igraphjac.treecount import TreeCount
+from igraphjac.treecount import Decomposition, TreeCount, decompose
 
 
 class TestAbelianGroup:
@@ -70,15 +70,61 @@ def test_known_groups_both_routes(params, torsion):
         assert g.free_rank == 1
 
 
-@pytest.mark.parametrize("scale", [2, 3])
+@pytest.mark.parametrize("scale", [2, 3, 4])
 def test_companion_rejects_a_wrong_count(monkeypatch, scale):
-    # the Smith form over Z[z]/(P) must reproduce the count from Z[x]/(R)
+    # the Smith form over Z[z]/(P) must reproduce the count from Z[x]/(R);
+    # 4 tau still splits as multiplier * n * (2a)^2, so both moduli are tried
     def wrong_count(p):
         return TreeCount(scale * tree_count_resultant(p).tau)
 
     monkeypatch.setattr(igraphjac.jacobian, "tree_count_resultant", wrong_count)
     with pytest.raises(InternalInconsistency):
         jacobian_via_companion(GraphParams(12, 3, 4))
+
+
+def _count_smith_calls(monkeypatch) -> list[int]:
+    moduli = []
+
+    def counted(m, modulus=0):
+        moduli.append(modulus)
+        return smith_normal_form(m, modulus=modulus)
+
+    monkeypatch.setattr(igraphjac.jacobian, "smith_normal_form", counted)
+    return moduli
+
+
+@pytest.mark.parametrize("params,torsion", KNOWN_GROUPS)
+def test_companion_falls_back_to_tau(monkeypatch, params, torsion):
+    # D = multiplier * n with a = 1 is too small: the second try, modulo
+    # tau, must still give the group
+    def split_with_a_one(t, p):
+        return Decomposition(1, decompose(t, p).multiplier)
+
+    monkeypatch.setattr(igraphjac.jacobian, "decompose", split_with_a_one)
+    moduli = _count_smith_calls(monkeypatch)
+    assert jacobian_via_companion(params).torsion == torsion
+    assert moduli[-1] == tree_count_resultant(params).tau
+    assert len(moduli) == 2
+
+
+def test_companion_takes_one_smith_form_per_graph(monkeypatch):
+    # D = multiplier * n * a was a multiple of the exponent on every graph
+    # tried, so the fallback modulo tau never runs
+    graphs = [(n, k, k + 1) for k in range(1, 6) for n in range(3, 81)]
+    graphs += [(940, 2, 3), (540, 3, 4), (140, 4, 5)]
+    moduli = _count_smith_calls(monkeypatch)
+    computed = 0
+    for n, k, l in graphs:
+        try:
+            p = normalize(n, k, l)
+        except InvalidParams:
+            continue
+        dec = decompose(tree_count_resultant(p), p)
+        exponent = jacobian_via_companion(p).torsion[-1]
+        computed += 1
+        assert moduli[-1] == dec.multiplier * p.n * dec.a
+        assert moduli[-1] % exponent == 0
+    assert len(moduli) == computed > 300
 
 
 def test_laplacian_gate():
