@@ -8,7 +8,6 @@ invariant factor (the exponent).  No floating point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
 from .errors import DimensionMismatch
@@ -57,24 +56,6 @@ class IntMatrix:
         if self.rows * self.cols <= 36:
             return f"IntMatrix({self._data!r})"
         return f"IntMatrix(<{self.rows}x{self.cols}>)"
-
-
-@dataclass(frozen=True)
-class SmithForm:
-    """Diagonal of the Smith normal form: d_1 | d_2 | ..., zeros at the end."""
-
-    invariant_factors: tuple[int, ...]
-
-    def __post_init__(self):
-        fs = self.invariant_factors
-        for d in fs:
-            if d < 0:
-                raise ValueError("invariant factors must be nonnegative")
-        for a, b in zip(fs, fs[1:]):
-            if a == 0 and b != 0:
-                raise ValueError("zero factors must come last")
-            if a != 0 and b != 0 and b % a != 0:
-                raise ValueError("invariant factors must form a divisibility chain")
 
 
 def determinant(m: IntMatrix) -> int:
@@ -217,7 +198,7 @@ def _clear_cross(a, t, nr, nc, modulus) -> int:
                 return piv
 
 
-def smith_normal_form(m: IntMatrix, modulus: int = 0) -> SmithForm:
+def smith_normal_form(m: IntMatrix, modulus: int = 0) -> tuple[int, ...]:
     """Smith normal form over Z, or of [m | modulus * I] when modulus > 0.
 
     Returns one factor per min(rows, cols): the invariant factors d_1 | d_2
@@ -259,4 +240,4 @@ def smith_normal_form(m: IntMatrix, modulus: int = 0) -> SmithForm:
                 rt[j] += rb[j]
         diag.append(d)
     diag.extend([modulus] * (size - len(diag)))
-    return SmithForm(tuple(diag))
+    return tuple(diag)

@@ -19,6 +19,7 @@ range, with a consistency failure outranking a precision failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 import time
@@ -44,14 +45,8 @@ from .errors import (
     QuadratureFailure,
 )
 from .igraph import DENSE_CEILING, normalize
-from .jacobian import (
-    LAPLACIAN_GATE,
-    jacobian_via_companion,
-    jacobian_via_laplacian,
-    rank_bounds_report,
-)
+from .jacobian import LAPLACIAN_GATE, jacobian_via_companion, jacobian_via_laplacian
 from .treecount import (
-    check_lower_bound,
     decompose,
     tree_count_chebyshev,
     tree_count_kirchhoff,
@@ -131,24 +126,25 @@ def _route_names(args, n: int) -> list[str]:
     return [args.method]
 
 
-# Per-command part of a record: its fields (with "checks") and its text line.
+# Per-command part of a record: its fields (with "checks", the paper's bounds
+# on the result) and its text line.
 def _jacobian_summary(p, group) -> tuple[dict, str]:
-    bounds = rank_bounds_report(p, group)
+    upper = 2 * p.k + 2 * p.l - 1
     text = (
         f"{p}  torsion={list(group.torsion)}  free_rank={group.free_rank}"
-        f"  tau={group.order}  rank={group.rank} in [2,{bounds['upper']}]"
+        f"  tau={group.order}  rank={group.rank} in [2,{upper}]"
     )
     return {
         "torsion": [str(d) for d in group.torsion],
         "free_rank": group.free_rank,
         "tau": str(group.order),
-        "checks": {"rank_lower": bounds["lower_ok"], "rank_upper": bounds["upper_ok"]},
+        "checks": {"rank_lower": group.rank >= 2, "rank_upper": group.rank <= upper},
     }, text
 
 
 def _trees_summary(p, count) -> tuple[dict, str]:
     dec = decompose(count, p)
-    checks = {"divisible_by_n": count.tau % p.n == 0, "cube_bound": check_lower_bound(p, count)}
+    checks = {"divisible_by_n": count.tau % p.n == 0, "cube_bound": count.tau >= p.n**3}
     text = (
         f"{p}  tau={count.tau} = {dec.multiplier}*{p.n}*{dec.a}^2"
         f"  div_n={checks['divisible_by_n']}  cube={checks['cube_bound']}"
@@ -287,53 +283,49 @@ def _table_jac_records(k: int, l: int, n_range) -> list[dict]:
     return records
 
 
+def _table_lines(args) -> list[str]:
+    if args.which == "A":
+        records = _table_a_records()
+    elif args.which == "jac23":
+        records = _table_jac_records(2, 3, range(4, 36))
+    else:
+        records = _table_jac_records(3, 4, range(5, 26))
+    if args.format == "json":
+        return [json.dumps(rec) for rec in records]
+    if args.format == "csv":
+        rows = [[" ".join(v) if isinstance(v, list) else str(v) for v in rec.values()] for rec in records]
+        return [",".join(records[0]), *map(",".join, rows)]
+    if args.which == "A":
+        cells = {(rec["k"], rec["l"]): rec["A"] for rec in records}
+        lines = ["k\\l " + "".join(f"{l:>8}" for l in range(1, 10))]
+        for k in range(1, 9):
+            row = [f"{k:>3} "]
+            for l in range(1, 10):
+                if l < k:
+                    row.append(" " * 8)
+                elif (k, l) in cells:
+                    row.append(f"{cells[(k, l)]:>8}")
+                else:
+                    row.append(f"{'-':>8}")
+            lines.append("".join(row).rstrip())
+        return lines
+    lines = []
+    width = max(len(str(rec["torsion"])) for rec in records)
+    for rec in records:
+        torsion = "(" + ", ".join(rec["torsion"]) + ")"
+        lines.append(f"n={rec['n']:>3}  Z^1 + {torsion:<{width}}  tau={rec['tau']}")
+    return lines
+
+
 def cmd_table(args) -> int:
+    # --out is opened before any record is computed, so a bad path fails at once
     try:
-        out = open(args.out, "w") if args.out else sys.stdout
+        with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as out:
+            out.write("".join(f"{line}\n" for line in _table_lines(args)))
     except OSError as exc:
+        if not args.out:
+            raise
         raise InvalidParams(f"cannot write --out: {exc}")
-    try:
-        if args.which == "A":
-            records = _table_a_records()
-        elif args.which == "jac23":
-            records = _table_jac_records(2, 3, range(4, 36))
-        else:
-            records = _table_jac_records(3, 4, range(5, 26))
-        if args.format == "json":
-            for rec in records:
-                print(json.dumps(rec), file=out)
-        elif args.format == "csv":
-            if args.which == "A":
-                print("k,l,A", file=out)
-                for rec in records:
-                    print(f"{rec['k']},{rec['l']},{rec['A']}", file=out)
-            else:
-                print("n,torsion,tau", file=out)
-                for rec in records:
-                    print(f"{rec['n']},{' '.join(rec['torsion'])},{rec['tau']}", file=out)
-        else:
-            if args.which == "A":
-                cells = {(rec["k"], rec["l"]): rec["A"] for rec in records}
-                header = "k\\l " + "".join(f"{l:>8}" for l in range(1, 10))
-                print(header, file=out)
-                for k in range(1, 9):
-                    row = [f"{k:>3} "]
-                    for l in range(1, 10):
-                        if l < k:
-                            row.append(" " * 8)
-                        elif (k, l) in cells:
-                            row.append(f"{cells[(k, l)]:>8}")
-                        else:
-                            row.append(f"{'-':>8}")
-                    print("".join(row).rstrip(), file=out)
-            else:
-                width = max(len(str(rec["torsion"])) for rec in records)
-                for rec in records:
-                    torsion = "(" + ", ".join(rec["torsion"]) + ")"
-                    print(f"n={rec['n']:>3}  Z^1 + {torsion:<{width}}  tau={rec['tau']}", file=out)
-    finally:
-        if args.out:
-            out.close()
     return EXIT_OK
 
 

@@ -9,7 +9,7 @@ counts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import gcd
 
 from .bigmat import IntMatrix
@@ -26,14 +26,12 @@ class GraphParams:
 
     Only canonical triples are representable: 1 <= k <= l <= n-1 with
     gcd(k, l) = 1.  Use :func:`normalize` to bring raw user input into this
-    form.  ``normalized`` records whether normalization changed anything and
-    is ignored by comparisons.
+    form.
     """
 
     n: int
     k: int
     l: int
-    normalized: bool = field(default=False, compare=False)
 
     def __post_init__(self):
         for name in ("n", "k", "l"):
@@ -70,7 +68,6 @@ def normalize(n: int, k: int, l: int) -> GraphParams:
     l0 = l % n
     if k0 == 0 or l0 == 0:
         raise LoopError(f"step congruent to 0 mod {n} creates loops")
-    changed = (k0 != k) or (l0 != l)
     m = gcd(n, gcd(k0, l0))
     if m > 1:
         raise DisconnectedError(m)
@@ -78,11 +75,9 @@ def normalize(n: int, k: int, l: int) -> GraphParams:
     if d > 1:
         k0 //= d
         l0 //= d
-        changed = True
     if k0 > l0:
         k0, l0 = l0, k0
-        changed = True
-    return GraphParams(n, k0, l0, normalized=changed)
+    return GraphParams(n, k0, l0)
 
 
 def laplacian_matrix(p: GraphParams) -> IntMatrix:

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import prod
 
-from .bigmat import SmithForm, smith_normal_form
+from .bigmat import smith_normal_form
 from .errors import InternalInconsistency
 from .igraph import GraphParams, laplacian_matrix
 from .polyring import presentation_matrix, spectral_poly
@@ -59,24 +59,16 @@ class AbelianGroup:
         return len(self.torsion)
 
 
-def group_from_smith(sf: SmithForm) -> AbelianGroup:
-    """Cokernel of a matrix with the given Smith diagonal.
-
-    Every connected I-graph cokernel here must have exactly one zero factor;
-    anything else means an upstream computation went wrong.
-    """
-    zeros = sum(1 for d in sf.invariant_factors if d == 0)
-    if zeros != 1:
-        raise InternalInconsistency(f"expected exactly one zero invariant factor, got {zeros}")
-    return AbelianGroup(
-        torsion=tuple(d for d in sf.invariant_factors if d > 1),
-        free_rank=zeros,
-    )
-
-
 def jacobian_via_laplacian(p: GraphParams) -> AbelianGroup:
-    """Torsion of coker(L) from the Laplacian Smith form; InvalidParams above DENSE_CEILING."""
-    return group_from_smith(smith_normal_form(laplacian_matrix(p)))
+    """Torsion of coker(L) from the Laplacian Smith form; InvalidParams above DENSE_CEILING.
+
+    A connected graph has exactly one zero invariant factor; any other count
+    means an upstream computation went wrong.
+    """
+    factors = smith_normal_form(laplacian_matrix(p))
+    if factors.count(0) != 1:
+        raise InternalInconsistency(f"expected one zero invariant factor, got {factors.count(0)}")
+    return AbelianGroup(torsion=tuple(d for d in factors if d > 1), free_rank=1)
 
 
 def jacobian_via_companion(p: GraphParams) -> AbelianGroup:
@@ -96,21 +88,9 @@ def jacobian_via_companion(p: GraphParams) -> AbelianGroup:
     tau = count.tau
     dec = decompose(count, p)
     for modulus in (dec.multiplier * p.n * dec.a, tau):
-        *torsion, last = smith_normal_form(m, modulus=modulus).invariant_factors
+        *torsion, last = smith_normal_form(m, modulus=modulus)
         if last == modulus and prod(torsion) == tau:
             return AbelianGroup(torsion=tuple(d for d in torsion if d > 1), free_rank=1)
     raise InternalInconsistency(
         f"Smith form modulo tau={tau} gave {torsion + [last]} for {p}"
     )
-
-
-def rank_bounds_report(p: GraphParams, g: AbelianGroup) -> dict:
-    """Check 2 <= rank <= 2k + 2l - 1 and report the observed value."""
-    upper = 2 * p.k + 2 * p.l - 1
-    return {
-        "rank": g.rank,
-        "lower": 2,
-        "upper": upper,
-        "lower_ok": g.rank >= 2,
-        "upper_ok": g.rank <= upper,
-    }

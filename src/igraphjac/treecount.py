@@ -147,8 +147,3 @@ def decompose(t: TreeCount, p: GraphParams) -> Decomposition:
     if a * a != base:
         raise NotASquare(f"tau/(multiplier*n) = {base} is not a perfect square")
     return Decomposition(a, multiplier)
-
-
-def check_lower_bound(p: GraphParams, t: TreeCount) -> bool:
-    """tau(n) >= n^3 for every connected I-graph."""
-    return t.tau >= p.n**3

@@ -23,7 +23,6 @@ from igraphjac import (
 )
 from igraphjac.asymptotics import asymptotic_ratio
 from igraphjac.igraph import GraphParams
-from igraphjac.jacobian import rank_bounds_report
 from igraphjac.polyring import IntPoly
 from igraphjac.treecount import TreeCount
 from igraphjac.cli import EXIT_OK, main
@@ -268,9 +267,7 @@ def test_criterion_10_rank_bound_probe(capsys):
     def body():
         p = GraphParams(17, 2, 3)
         group = jacobian_via_companion(p)
-        report = rank_bounds_report(p, group)
-        assert report["upper"] == 9
-        assert 2 <= group.rank <= 9
+        assert 2 <= group.rank <= 2 * p.k + 2 * p.l - 1 == 9
         attained = "attained" if group.rank == 9 else "not attained"
         note(capsys, f"observed rank {group.rank} of bound 9 at n=17 "
                      f"({attained} here; the published row has 8 factors "

@@ -4,7 +4,7 @@ from math import gcd
 import pytest
 
 import helpers
-from igraphjac.bigmat import IntMatrix, SmithForm, determinant, smith_normal_form
+from igraphjac.bigmat import IntMatrix, determinant, smith_normal_form
 from igraphjac.errors import DimensionMismatch
 from helpers import mat_mul, mat_pow
 
@@ -118,29 +118,29 @@ def random_unimodular(rng, size, steps=12):
 
 class TestSmithNormalForm:
     def test_known_diagonal(self):
-        sf = smith_normal_form(IntMatrix([[4, 0], [0, 6]]))
-        assert sf.invariant_factors == (2, 12)
-        assert smith_normal_form(IntMatrix([[4, 0], [0, 6]]), modulus=8).invariant_factors == (2, 4)
+        factors = smith_normal_form(IntMatrix([[4, 0], [0, 6]]))
+        assert factors == (2, 12)
+        assert smith_normal_form(IntMatrix([[4, 0], [0, 6]]), modulus=8) == (2, 4)
 
     def test_identity(self):
-        assert smith_normal_form(helpers.identity(3)).invariant_factors == (1, 1, 1)
+        assert smith_normal_form(helpers.identity(3)) == (1, 1, 1)
 
     def test_zero_matrix(self):
-        assert smith_normal_form(helpers.zeros(2, 3)).invariant_factors == (0, 0)
+        assert smith_normal_form(helpers.zeros(2, 3)) == (0, 0)
         # a zero factor comes back as the modulus
-        assert smith_normal_form(helpers.zeros(2, 3), modulus=5).invariant_factors == (5, 5)
+        assert smith_normal_form(helpers.zeros(2, 3), modulus=5) == (5, 5)
 
     def test_rejects_negative_modulus(self):
         with pytest.raises(ValueError):
             smith_normal_form(helpers.identity(2), modulus=-3)
 
     def test_rectangular_shapes(self):
-        sf = smith_normal_form(IntMatrix([[2, 4, 4], [-6, 6, 12]]))
-        assert len(sf.invariant_factors) == 2
-        assert sf.invariant_factors == (2, 6)
+        factors = smith_normal_form(IntMatrix([[2, 4, 4], [-6, 6, 12]]))
+        assert len(factors) == 2
+        assert factors == (2, 6)
 
     def test_single_row(self):
-        assert smith_normal_form(IntMatrix([[6, 10, 15]])).invariant_factors == (1,)
+        assert smith_normal_form(IntMatrix([[6, 10, 15]])) == (1,)
 
     def test_divisibility_chain_and_sign(self):
         rng = random.Random(29)
@@ -149,12 +149,12 @@ class TestSmithNormalForm:
             rows = rng.randint(1, 5)
             cols = rng.randint(1, 5)
             m = random_matrix(rng, rows, cols)
-            sf = smith_normal_form(m)
+            factors = smith_normal_form(m)
             # modulo D the factors are those of [m | D*I]: gcd(d, D) each
             for modulus in (mod_rng.randint(1, 60), mod_rng.randint(1, 10**6)):
-                expected = tuple(gcd(d, modulus) for d in sf.invariant_factors)
-                assert smith_normal_form(m, modulus=modulus).invariant_factors == expected
-            diag = sf.invariant_factors
+                expected = tuple(gcd(d, modulus) for d in factors)
+                assert smith_normal_form(m, modulus=modulus) == expected
+            diag = factors
             assert all(d >= 0 for d in diag)
             nonzero = [d for d in diag if d]
             assert all(
@@ -169,8 +169,8 @@ class TestSmithNormalForm:
             rows = rng.randint(1, 5)
             cols = rng.randint(1, 5)
             m = random_matrix(rng, rows, cols, bound=4)
-            sf = smith_normal_form(m)
-            assert sum(1 for d in sf.invariant_factors if d) == helpers.rank_fractions(m.to_lists())
+            factors = smith_normal_form(m)
+            assert sum(1 for d in factors if d) == helpers.rank_fractions(m.to_lists())
 
     def test_product_of_factors_is_absolute_determinant(self):
         rng = random.Random(37)
@@ -179,7 +179,7 @@ class TestSmithNormalForm:
             m = random_matrix(rng, size, size)
             det = determinant(m)
             prod = 1
-            for d in smith_normal_form(m).invariant_factors:
+            for d in smith_normal_form(m):
                 prod *= d
             assert prod == abs(det)
 
@@ -197,16 +197,3 @@ class TestSmithNormalForm:
             modulus = mod_rng.randint(1, 200)
             assert smith_normal_form(transformed, modulus) == smith_normal_form(m, modulus)
 
-
-class TestSmithFormValidation:
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            SmithForm((-1, 2))
-
-    def test_rejects_broken_chain(self):
-        with pytest.raises(ValueError):
-            SmithForm((4, 6))
-
-    def test_rejects_zero_before_nonzero(self):
-        with pytest.raises(ValueError):
-            SmithForm((0, 2))

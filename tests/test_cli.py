@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -82,6 +83,22 @@ class TestJacobianCommand:
             p = GraphParams(rec["params"]["n"], 2, 3)
             for name, route in (("companion", off_by_n), ("laplacian", jacobian_via_laplacian)):
                 assert f"{name}={route(p)}" in rec["detail"]
+
+    @pytest.mark.parametrize(
+        "torsion, failed",
+        [((2,) * 6, "rank_upper"), ((5,), "rank_lower")],
+        ids=["rank_upper", "rank_lower"],
+    )
+    def test_rank_outside_the_bounds_fails_its_check(self, capsys, monkeypatch, torsion, failed):
+        # I(7,1,2) allows 2 to 2k + 2l - 1 = 5 torsion generators
+        monkeypatch.setattr(cli, "jacobian_via_companion", lambda p: AbelianGroup(torsion, 1))
+        code, [rec] = run_json_lines(
+            capsys, ["jacobian", "--n", "7", "--k", "1", "--l", "2", "--method", "companion", "--json"]
+        )
+        assert code == EXIT_INCONSISTENT
+        assert "error" not in rec
+        assert rec["torsion"] == [str(d) for d in torsion]
+        assert rec["checks"] == {"rank_lower": failed != "rank_lower", "rank_upper": failed != "rank_upper"}
 
     def test_text_mode(self, capsys):
         code = main(["jacobian", "--n", "5", "--k", "1", "--l", "2"])
@@ -192,6 +209,16 @@ class TestTreesCommand:
         assert code == EXIT_INCONSISTENT
         assert [rec["params"]["n"] for rec in records] == [10, 11, 12]
         assert all(rec["error"] == "NotASquare" for rec in records)
+
+    def test_count_below_the_cube_fails_its_check(self, capsys, monkeypatch):
+        # 44 = 11 * 2^2 splits as a square, but 44 < 11^3
+        monkeypatch.setattr(cli, "tree_count_resultant", lambda p: TreeCount(44))
+        code, [rec] = run_json_lines(
+            capsys, ["trees", "--n", "11", "--k", "2", "--l", "3", "--method", "resultant", "--json"]
+        )
+        assert code == EXIT_INCONSISTENT
+        assert (rec["tau"], rec["a"], rec["multiplier"]) == ("44", "2", 1)
+        assert rec["checks"] == {"divisible_by_n": True, "cube_bound": False}
 
     def test_dense_route_above_ceiling_is_usage_error(self, capsys):
         # the whole command fails up front: no sweep stops halfway
@@ -330,6 +357,38 @@ class TestTableCommand:
         lines = target.read_text().strip().splitlines()
         assert lines[0] == "n,torsion,tau"
         assert len(lines) == 33
+
+    def test_jac34_csv_and_text_rows(self, capsys):
+        assert main(["table", "--which", "jac34", "--format", "csv"]) == EXIT_OK
+        csv_lines = capsys.readouterr().out.splitlines()
+        assert main(["table", "--which", "jac34"]) == EXIT_OK
+        text_lines = capsys.readouterr().out.splitlines()
+        assert csv_lines[0] == "n,torsion,tau"
+        assert len(csv_lines) - 1 == len(text_lines) == len(expected_tables.JAC_34)
+        tau_columns = set()
+        for n, csv_line, text_line in zip(sorted(expected_tables.JAC_34), csv_lines[1:], text_lines):
+            torsion, tau = expected_tables.JAC_34[n]
+            factors = [str(d) for d in helpers.canonical_invariant_factors(torsion)]
+            assert csv_line == f"{n},{' '.join(factors)},{tau}"
+            group, _, tau_text = text_line.partition("  tau=")
+            assert group.rstrip() == f"n={n:>3}  Z^1 + ({', '.join(factors)})"
+            assert tau_text == str(tau)
+            tau_columns.add(len(group))
+        # the torsion column is padded to one width, wide enough for every row
+        assert len(tau_columns) == 1
+        assert text_lines[0].startswith("n=  5  Z^1 + (2, 10, 10, 10) ")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("rows", [1, 5000])
+    def test_failed_out_write_is_usage_error(self, capsys, monkeypatch, rows):
+        # a short table fails when the file is closed, a long one in the write
+        records = [{"n": 4, "torsion": ["7", "28"], "tau": "196"}] * rows
+        monkeypatch.setattr(cli, "_table_jac_records", lambda *a: records)
+        code = main(["table", "--which", "jac23", "--format", "json", "--out", "/dev/full"])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert captured.out == ""
+        assert "cannot write --out" in captured.err
 
     def test_unwritable_out_is_usage_error(self, tmp_path, capsys, monkeypatch):
         # the path is checked before any record is computed

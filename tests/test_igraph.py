@@ -10,9 +10,6 @@ class TestNormalize:
     def test_already_reduced(self):
         p = normalize(5, 1, 2)
         assert (p.n, p.k, p.l) == (5, 1, 2)
-        # flag records whether anything changed
-        assert not p.normalized
-        assert normalize(5, 2, 4).normalized
 
     def test_steps_reduced_mod_n(self):
         assert normalize(5, 8, 1) == GraphParams(5, 1, 3)
@@ -78,9 +75,6 @@ class TestGraphParams:
     def test_rejects_bool(self):
         with pytest.raises(InvalidParams):
             GraphParams(5, True, 2)
-
-    def test_normalized_flag_not_part_of_identity(self):
-        assert GraphParams(5, 1, 2) == GraphParams(5, 1, 2, normalized=True)
 
 
 def adjacency(p):

@@ -9,10 +9,10 @@ from igraphjac import (
     tree_count_kirchhoff,
     tree_count_resultant,
 )
-from igraphjac.bigmat import SmithForm, smith_normal_form
+from igraphjac.bigmat import smith_normal_form
 from igraphjac.errors import InternalInconsistency, InvalidParams
 from igraphjac.igraph import GraphParams, normalize
-from igraphjac.jacobian import LAPLACIAN_GATE, AbelianGroup, group_from_smith, rank_bounds_report
+from igraphjac.jacobian import LAPLACIAN_GATE, AbelianGroup
 from igraphjac.treecount import Decomposition, TreeCount, decompose
 
 
@@ -41,17 +41,12 @@ class TestAbelianGroup:
             AbelianGroup((2,), -1)
 
 
-class TestGroupFromSmith:
-    def test_strips_units_and_zero(self):
-        g = group_from_smith(SmithForm((1, 1, 7, 28, 0)))
-        assert g.torsion == (7, 28)
-        assert g.free_rank == 1
-
-    def test_requires_exactly_one_zero(self):
+def test_laplacian_route_requires_exactly_one_zero_factor(monkeypatch):
+    # a connected graph's Laplacian has one zero factor; none or two is a fault
+    for factors in ((1, 7), (7, 0, 0)):
+        monkeypatch.setattr(igraphjac.jacobian, "smith_normal_form", lambda m: factors)
         with pytest.raises(InternalInconsistency):
-            group_from_smith(SmithForm((1, 7)))
-        with pytest.raises(InternalInconsistency):
-            group_from_smith(SmithForm((7, 0, 0)))
+            jacobian_via_laplacian(GraphParams(5, 1, 2))
 
 
 KNOWN_GROUPS = [
@@ -145,18 +140,10 @@ def test_order_counts_spanning_trees():
     assert jacobian_via_companion(p).order == helpers.tree_count_kirchhoff_fractions(14, edges)
 
 
-def test_rank_bounds_report():
-    p = GraphParams(17, 2, 3)
-    g = jacobian_via_companion(p)
-    report = rank_bounds_report(p, g)
-    assert report["lower"] == 2
-    assert report["upper"] == 2 * p.k + 2 * p.l - 1 == 9
-    assert report["rank"] == g.rank
-    assert report["lower_ok"] and report["upper_ok"]
-
-
 def test_petersen_is_5_1_2():
     # the (5,1,2) graph is the classical one; its group is Z2 + (Z10)^3
     g = jacobian_via_laplacian(GraphParams(5, 1, 2))
+    # the unit factors and the one zero factor leave the torsion
     assert g.torsion == (2, 10, 10, 10)
+    assert g.free_rank == 1
     assert g.order == 2000
