@@ -41,6 +41,15 @@ class TestAbelianGroup:
             AbelianGroup((2,), -1)
 
 
+class TestGroupFromSmith:
+    def test_strips_units_and_zero(self, monkeypatch):
+        # the Laplacian route keeps the factors above one and counts the zero as free rank
+        monkeypatch.setattr(igraphjac.jacobian, "smith_normal_form", lambda m: (1, 1, 7, 28, 0))
+        g = jacobian_via_laplacian(GraphParams(5, 1, 2))
+        assert g.torsion == (7, 28)
+        assert g.free_rank == 1
+
+
 def test_laplacian_route_requires_exactly_one_zero_factor(monkeypatch):
     # a connected graph's Laplacian has one zero factor; none or two is a fault
     for factors in ((1, 7), (7, 0, 0)):
