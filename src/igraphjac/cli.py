@@ -115,7 +115,7 @@ ROUTES = {
     },
 }
 AUTO_ROUTES = {"jacobian": ("laplacian", "companion"), "trees": ("kirchhoff", "resultant")}
-DENSE_ROUTES = {"laplacian", "kirchhoff"}  # they build the 2n x 2n Laplacian
+DENSE_ROUTES = {"laplacian", "kirchhoff"}  # they build the n x n circulant S
 
 
 def _route_names(args, n: int) -> list[str]:
@@ -309,12 +309,9 @@ def _table_lines(args) -> list[str]:
                     row.append(f"{'-':>8}")
             lines.append("".join(row).rstrip())
         return lines
-    lines = []
-    width = max(len(str(rec["torsion"])) for rec in records)
-    for rec in records:
-        torsion = "(" + ", ".join(rec["torsion"]) + ")"
-        lines.append(f"n={rec['n']:>3}  Z^1 + {torsion:<{width}}  tau={rec['tau']}")
-    return lines
+    groups = [f"n={rec['n']:>3}  Z^1 + (" + ", ".join(rec["torsion"]) + ")" for rec in records]
+    width = max(map(len, groups))
+    return [f"{group:<{width}}  tau={rec['tau']}" for group, rec in zip(groups, records)]
 
 
 def cmd_table(args) -> int:

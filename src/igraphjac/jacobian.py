@@ -1,6 +1,6 @@
 """Jacobian (critical) groups of I-graphs by two independent routes.
 
-Route one is the definition: Smith normal form of the 2n x 2n Laplacian.
+Route one is the Smith normal form of igraph's n x n circulant S, coker S = coker L.
 Route two compresses the cokernel first: with P the monic polynomial
 spectral_poly(k, l), coker(L) is isomorphic to Z[z]/(P, z^n - 1), which the
 2(k+l) x 2(k+l) matrix M of multiplication by z^n - 1 on Z[z]/(P) presents
@@ -22,7 +22,7 @@ from math import prod
 
 from .bigmat import smith_normal_form
 from .errors import InternalInconsistency
-from .igraph import GraphParams, laplacian_matrix
+from .igraph import GraphParams, circulant_matrix
 from .polyring import presentation_matrix, spectral_poly
 from .treecount import decompose, tree_count_resultant
 
@@ -60,12 +60,12 @@ class AbelianGroup:
 
 
 def jacobian_via_laplacian(p: GraphParams) -> AbelianGroup:
-    """Torsion of coker(L) from the Laplacian Smith form; InvalidParams above DENSE_CEILING.
+    """Torsion of coker(L) = coker(S) from the Smith form of S; InvalidParams above DENSE_CEILING.
 
     A connected graph has exactly one zero invariant factor; any other count
     means an upstream computation went wrong.
     """
-    factors = smith_normal_form(laplacian_matrix(p))
+    factors = smith_normal_form(circulant_matrix(p))
     if factors.count(0) != 1:
         raise InternalInconsistency(f"expected one zero invariant factor, got {factors.count(0)}")
     return AbelianGroup(torsion=tuple(d for d in factors if d > 1), free_rank=1)

@@ -1,7 +1,8 @@
 """Spanning tree counts of I-graphs by three routes, plus the square split.
 
-kirchhoff  - determinant of a principal Laplacian minor (matrix-tree); exact,
-             the small-n oracle.
+kirchhoff  - determinant of a principal minor of igraph's n x n circulant S,
+             whose (n-1)-minors, like the Laplacian's, all equal tau
+             (matrix-tree); exact, the small-n oracle.
 resultant  - tau = n |det N_R| / (k^2 + l^2) with R = trace_poly(k, l), the
              paper's Laurent polynomial P = (x - 2) R(x) in x = z + 1/z, and
              N_R the (k+l-1) x (k+l-1) matrix of multiplication by
@@ -32,7 +33,7 @@ from mpmath import mp
 from .asymptotics import DEFAULT_PRECISION, poly_roots
 from .bigmat import IntMatrix, determinant
 from .errors import InternalInconsistency, NotASquare, PrecisionExhausted
-from .igraph import GraphParams, laplacian_matrix
+from .igraph import GraphParams, circulant_matrix
 from .polyring import lucas_matrix, spectral_poly, trace_poly
 
 ROUNDING_GUARD = 0.25
@@ -56,10 +57,9 @@ def _sign(p: GraphParams) -> int:
 
 
 def tree_count_kirchhoff(p: GraphParams) -> TreeCount:
-    """Spanning trees as the determinant of the Laplacian with row and
+    """Spanning trees as the determinant of the circulant S with row and
     column 0 deleted; raises InvalidParams above igraph.DENSE_CEILING."""
-    lap = laplacian_matrix(p).to_lists()
-    minor = IntMatrix([row[1:] for row in lap[1:]])
+    minor = IntMatrix([row[1:] for row in circulant_matrix(p).to_lists()[1:]])
     det = determinant(minor)
     if det <= 0:
         raise InternalInconsistency(f"matrix-tree minor determinant {det} is not positive")

@@ -1,17 +1,18 @@
 """Independent oracles and comparison helpers for the test suite.
 
-Everything here deliberately avoids the package's own exact kernels:
-determinants run over Fractions, tree counts come from deletion and
-contraction or from a plain Gaussian Kirchhoff minor, and resultants are
-Sylvester determinants or the subresultant PRS.  The companion matrix and
-its powers present Z[z]/(f, z^n - 1) the way the ring kernel's
-square-and-multiply does not; the Chebyshev values come from three-term
-recurrences, and the Chebyshev quotient in w = x/2 is built by polynomial
-products where trace_poly needs none.  The one exception is
-tree_count_q_ring, the former large-n count: it runs the package's ring
-kernel over Z[z]/(Q), Q = P/(z - 1)^2, twice the size of the Z[x]/(R) the
-package now uses.  Slow is fine; these only certify.  sixfold_rule_report
-is the diagnostic that tallies square decompositions by parity.
+Everything here deliberately avoids the package's own exact kernels: the
+2n x 2n Laplacian is built row by row and from the edge list, determinants
+run over Fractions, tree counts come from deletion and contraction or from a
+plain Gaussian Kirchhoff minor, and resultants are Sylvester determinants or
+the subresultant PRS.  The companion matrix and its powers present
+Z[z]/(f, z^n - 1) the way the ring kernel's square-and-multiply does not;
+the Chebyshev values come from three-term recurrences, and the Chebyshev
+quotient in w = x/2 is built by polynomial products where trace_poly needs
+none.  The one exception is tree_count_q_ring, the former large-n count:
+it runs the package's ring kernel over Z[z]/(Q), Q = P/(z - 1)^2, twice the
+size of the Z[x]/(R) the package now uses.  Slow is fine; these only
+certify.  sixfold_rule_report is the diagnostic that tallies square
+decompositions by parity.
 """
 
 from fractions import Fraction
@@ -165,6 +166,24 @@ def laplacian_from_edges(num_vertices, edges):
         m[x][y] -= 1
         m[y][x] -= 1
     return m
+
+
+def laplacian_matrix(n, k, l):
+    """2n x 2n Laplacian 3I - A of I(n,k,l), rows u_0..u_{n-1} then
+    v_0..v_{n-1}, built row by row from the edge rule: 3 on the diagonal,
+    -1 per step neighbour (a step of n/2 meets one neighbour both ways, so
+    -2) and -1 for the spoke.  The dense routes work on the n x n circulant
+    that one block elimination leaves of it; this is the matrix itself."""
+    rows = []
+    for offset, step in ((0, k), (n, l)):
+        for i in range(n):
+            row = [0] * (2 * n)
+            row[offset + i] = 3
+            row[offset + (i + step) % n] -= 1
+            row[offset + (i - step) % n] -= 1
+            row[n - offset + i] = -1  # the spoke to the other layer
+            rows.append(row)
+    return rows
 
 
 def det_fractions(rows):

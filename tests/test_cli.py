@@ -365,7 +365,7 @@ class TestTableCommand:
         text_lines = capsys.readouterr().out.splitlines()
         assert csv_lines[0] == "n,torsion,tau"
         assert len(csv_lines) - 1 == len(text_lines) == len(expected_tables.JAC_34)
-        tau_columns = set()
+        tau_columns, paddings = set(), []
         for n, csv_line, text_line in zip(sorted(expected_tables.JAC_34), csv_lines[1:], text_lines):
             torsion, tau = expected_tables.JAC_34[n]
             factors = [str(d) for d in helpers.canonical_invariant_factors(torsion)]
@@ -374,8 +374,10 @@ class TestTableCommand:
             assert group.rstrip() == f"n={n:>3}  Z^1 + ({', '.join(factors)})"
             assert tau_text == str(tau)
             tau_columns.add(len(group))
-        # the torsion column is padded to one width, wide enough for every row
+            paddings.append(len(group) - len(group.rstrip()))
+        # the torsion column is padded to one width, just wide enough for every row
         assert len(tau_columns) == 1
+        assert min(paddings) == 0
         assert text_lines[0].startswith("n=  5  Z^1 + (2, 10, 10, 10) ")
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")

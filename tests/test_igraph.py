@@ -1,9 +1,12 @@
+from math import gcd
+
 import pytest
 
 import helpers
 from igraphjac import normalize
+from igraphjac.bigmat import IntMatrix, smith_normal_form
 from igraphjac.errors import DisconnectedError, InvalidParams, LoopError
-from igraphjac.igraph import DEGREE, GraphParams, laplacian_matrix
+from igraphjac.igraph import DEGREE, GraphParams, circulant_matrix
 
 
 class TestNormalize:
@@ -79,7 +82,7 @@ class TestGraphParams:
 
 def adjacency(p):
     """A = DEGREE*I - L, read back off the Laplacian of the cubic graph."""
-    lap = laplacian_matrix(p).to_lists()
+    lap = helpers.laplacian_matrix(p.n, p.k, p.l)
     return [[(DEGREE if i == j else 0) - x for j, x in enumerate(row)] for i, row in enumerate(lap)]
 
 
@@ -106,20 +109,49 @@ def test_half_n_step_doubles_the_edge():
 
 
 def test_laplacian_rows_sum_to_zero():
-    p = GraphParams(6, 2, 3)
-    lap = laplacian_matrix(p).to_lists()
+    lap = helpers.laplacian_matrix(6, 2, 3)
     assert all(sum(row) == 0 for row in lap)
     assert all(lap[i][i] == DEGREE for i in range(12))
 
 
 def test_laplacian_matches_edge_list_build():
     for n, k, l in [(5, 1, 2), (4, 2, 3), (6, 1, 1), (9, 2, 3), (8, 3, 4), (10, 3, 4)]:
-        lap = laplacian_matrix(GraphParams(n, k, l)).to_lists()
+        lap = helpers.laplacian_matrix(n, k, l)
         edges = helpers.igraph_edge_list(n, k, l)
         assert lap == helpers.laplacian_from_edges(2 * n, edges)
         assert all(lap[i][j] == lap[j][i] for i in range(2 * n) for j in range(2 * n))
         assert all(sum(row) == 0 for row in lap)
     # I(4,2,3): step 2 on 4 vertices pairs i with i+2 twice, a doubled edge
-    lap = laplacian_matrix(GraphParams(4, 2, 3)).to_lists()
+    lap = helpers.laplacian_matrix(4, 2, 3)
     assert lap[0][2] == -2
     assert lap[1][3] == -2
+
+
+def canonical_steps(n):
+    return [(k, l) for k in range(1, n) for l in range(k, n) if gcd(k, l) == 1]
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_circulant_is_the_block_elimination_of_the_laplacian(n):
+    # every canonical graph up to n = 12, steps of n/2 such as I(4,2,3) included
+    for k, l in canonical_steps(n):
+        lap = helpers.laplacian_matrix(n, k, l)
+        a_k = IntMatrix([row[:n] for row in lap[:n]])
+        a_l = IntMatrix([row[n:] for row in lap[n:]])
+        assert all(lap[i][n + j] == -(i == j) for i in range(n) for j in range(n))
+        product = helpers.mat_mul(a_l, a_k).to_lists()
+        s = circulant_matrix(GraphParams(n, k, l))
+        assert s.to_lists() == [[x - (i == j) for j, x in enumerate(row)] for i, row in enumerate(product)]
+        # coker S = coker L: L is equivalent to I_n + S
+        assert smith_normal_form(IntMatrix(lap)) == (1,) * n + smith_normal_form(s)
+
+
+@pytest.mark.parametrize("n,k,l", [(5, 1, 2), (4, 2, 3), (8, 3, 4), (9, 2, 3), (10, 3, 5), (12, 5, 7)])
+def test_circulant_minors_are_the_kirchhoff_minor(n, k, l):
+    s = circulant_matrix(GraphParams(n, k, l)).to_lists()
+    assert all(s[i][j] == s[j][i] for i in range(n) for j in range(n))
+    assert all(sum(row) == 0 for row in s)
+    tau = helpers.tree_count_kirchhoff_fractions(2 * n, helpers.igraph_edge_list(n, k, l))
+    for i in range(n):
+        minor = [row[:i] + row[i + 1 :] for j, row in enumerate(s) if j != i]
+        assert helpers.det_fractions(minor) == tau

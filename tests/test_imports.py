@@ -154,6 +154,21 @@ def test_no_definition_without_a_package_caller():
     assert not unused, f"defined but used by no package module: {unused}"
 
 
+def test_dense_routes_share_no_kernel_with_the_ring():
+    # igraph builds the matrix both dense routes reduce; were it to reach
+    # polyring, one fault in the ring kernel could pass both Jacobian routes
+    seen, todo = set(), ["igraph"]
+    while todo:
+        module = todo.pop()
+        if module in seen:
+            continue
+        seen.add(module)
+        for node in ast.walk(ast.parse((PACKAGE / f"{module}.py").read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                todo += [node.module] if node.module else [alias.name for alias in node.names]
+    assert "polyring" not in seen, f"igraph reaches {sorted(seen)}"
+
+
 def test_definition_scan_sees_imports_and_stores():
     trees = {
         "a": ast.parse("X = 1\nY = 2\nZ = Y\ndef f():\n    pass\ndef g():\n    pass\n"),
