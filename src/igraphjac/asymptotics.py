@@ -7,7 +7,10 @@ trace_poly(k, l), the polynomial in x = z + 1/z that the Chebyshev tree
 count also roots: each x stands for the pair z, 1/z with
 z = (x + sqrt(x^2 - 4))/2.  A equals the Mahler measure of the polynomial,
 so it can also be computed as exp of the average of log|P| over the unit
-circle; the two routes check each other.
+circle; the two routes check each other.  The average is a periodic
+trapezoidal rule: by Jensen's formula dividing P by |1 - z|^2 leaves the
+mean unchanged and removes the zero at z = 1, so the rule converges
+geometrically, and its N-node product is (k^2 + l^2) tau(I(N, k, l)) / N.
 
 Roots come from mpmath.polyroots, a Durand-Kerner iteration, which needs
 distinct roots; R always has them.  An iteration that does not settle
@@ -59,41 +62,50 @@ class RealApprox:
 
 
 # Durand-Kerner sweeps allowed per bit of precision, and the guard bits the
-# iteration and the returned roots carry beyond precision_bits
+# iteration and the returned roots carry beyond precision_bits on top of the
+# bit length of the polynomial's largest coefficient
 SWEEPS_PER_BIT = 4
 GUARD_BITS = 64
-# Bits mahler_integral works at, whatever precision the caller asked for
-INTEGRAL_PRECISION = 192
+# Most nodes mahler_integral's trapezoidal rule may use: about a minute of
+# sinpi calls at a few hundred bits
+NODE_CAP = 1 << 20
 
 
 def poly_roots(poly: IntPoly, precision_bits: int = DEFAULT_PRECISION) -> RootSet:
     """All roots of an integer polynomial with distinct roots.
 
-    mpmath.polyroots runs Durand-Kerner with GUARD_BITS beyond
-    precision_bits and rounds the roots to precision_bits + GUARD_BITS, the
-    precision callers use them at; a zero root, and the imaginary part of a
-    real root, come back exactly 0.  ConvergenceFailure means the iteration
-    did not settle within its sweep cap.  A repeated root (spectral_poly's
-    double root at z = 1, say) stalls it near sqrt(eps): it may then raise
-    ConvergenceFailure or land anyway, so only distinct roots are promised.
+    mpmath.polyroots runs Durand-Kerner with a guard of GUARD_BITS plus the
+    bit length of the largest coefficient beyond precision_bits, and rounds
+    the roots to precision_bits + guard, the precision callers use them at.
+    The coefficient term pays for the cancellation in evaluating a
+    polynomial whose coefficients dwarf its values near the roots:
+    trace_poly(40, 41) stalls for its whole sweep cap with a fixed 64-bit
+    guard.  Zero roots are split off before the iteration and come back
+    exactly 0, as does the imaginary part of a real root.
+    ConvergenceFailure means the iteration did not settle within its sweep
+    cap.  A repeated root (spectral_poly's double root at z = 1, say) stalls
+    it near sqrt(eps): it may then raise ConvergenceFailure or land anyway,
+    so only distinct roots are promised.
     """
     if poly.is_zero:
         raise ZeroPolynomial("the zero polynomial has no finite root set")
     if precision_bits < MIN_PRECISION:
         raise ValueError(f"precision_bits must be at least {MIN_PRECISION}")
-    with mp.workprec(precision_bits + GUARD_BITS):
+    scale = max(abs(c) for c in poly.coeffs)
+    guard = GUARD_BITS + scale.bit_length()
+    zeros = next(i for i, c in enumerate(poly.coeffs) if c)
+    with mp.workprec(precision_bits + guard):
         try:
-            found = mpmath.polyroots(
-                poly.coeffs[::-1],
+            found = [mp.mpf(0)] * zeros + mpmath.polyroots(
+                poly.coeffs[zeros:][::-1],
                 maxsteps=128 + SWEEPS_PER_BIT * precision_bits,
-                extraprec=GUARD_BITS,
+                extraprec=guard,
             )
         except mp.NoConvergence as exc:
             raise ConvergenceFailure(
                 f"Durand-Kerner iteration stalled on degree {poly.degree} "
                 f"at {precision_bits} bits"
             ) from exc
-        scale = max(abs(c) for c in poly.coeffs)
         residual = max((abs(poly(mp.mpc(z))) / scale for z in found), default=mp.mpf(0))
         found.sort(key=lambda z: (mp.re(z), mp.im(z)))
     return RootSet(tuple(found), residual)
@@ -135,40 +147,72 @@ def mahler_constant(k: int, l: int, precision_bits: int = DEFAULT_PRECISION) -> 
     return RealApprox(value, bound)
 
 
-def mahler_integral(k: int, l: int) -> RealApprox:
+def _node_product(k: int, l: int, n: int, step: int = 1):
+    """Product of P(w^j) over j = 1, 1 + step, ... below n/2, w = e^(2 pi i/n).
+
+    P = spectral_poly(k, l) up to the unit z^(k+l), real on the unit circle,
+    where it is u + v + uv with u = 4 sin^2(pi k j/n), v = 4 sin^2(pi l j/n).
+    """
+    acc = mp.mpf(1)
+    for j in range(1, (n + 1) // 2, step):
+        u = 4 * mpmath.sinpi(mp.mpf(k * j % n) / n) ** 2
+        v = 4 * mpmath.sinpi(mp.mpf(l * j % n) / n) ** 2
+        acc *= u + v + u * v
+    return acc
+
+
+def mahler_integral(k: int, l: int, precision_bits: int = DEFAULT_PRECISION) -> RealApprox:
     """exp of the mean of log|spectral_poly| over the unit circle.
 
-    Always runs at INTEGRAL_PRECISION bits and ignores `asymptotic
-    --precision`, which sets only the root product's precision.
+    On the circle z = e^(2 pi i t) the polynomial is P(t) = u + v + uv with
+    u = 4 sin^2(pi k t) and v = 4 sin^2(pi l t), positive except for the
+    double zero at t = 0.  By Jensen's formula the mean of log s, with
+    s = 4 sin^2(pi t) = |1 - z|^2, is 0, so the mean of log P equals the
+    mean of f = log(P / s).  f is even, 1-periodic and analytic (its value
+    at t = 0 is log(k^2 + l^2)), so the N-node trapezoidal rule
+    T_N = (1/N) sum_j f(j/N) converges geometrically in N.
 
-    On the circle the polynomial is the real expression
-    (3 - 2cos(2 pi k t))(3 - 2cos(2 pi l t)) - 1, positive except for the
-    double zero at t = 0; tanh-sinh quadrature on [0, 1/2] (the integrand is
-    symmetric) absorbs the endpoint log singularity.  Each factor is
-    rewritten as 1 + 4 sin^2(pi k t) so the value near the zero comes out as
-    a sum of tiny positives instead of a catastrophic cancellation.
+    The node sum is exact arithmetic in disguise: with w = e^(2 pi i/N),
+    prod_{0<j<N} P(w^j) / |1 - w^j|^2 = tau(I(N, k, l)) / N, so
+    T_N = log((k^2 + l^2) tau(I(N, k, l)) / N) / N.  The s factors multiply
+    to N^2, so they are divided out once, not per node; the nodes pair up as
+    t and 1 - t, so only j < N/2 is evaluated and the half product squared.
+
+    N starts at 2(k + l), and each doubling evaluates only the new odd
+    nodes.  It stops once |T_2N - T_N| <= 2^(-precision_bits/2) and that
+    difference has shrunk since the previous doubling; the bound is
+    value * (100 |T_2N - T_N| + 2^(-(precision_bits - 8))).  A rule that
+    would need more than NODE_CAP nodes raises QuadratureFailure.  Works at
+    precision_bits + 32 and shares nothing with the root product.
     """
     _check_steps(k, l)
-    with mp.workprec(INTEGRAL_PRECISION + 32):
-
-        def integrand(t):
-            u = 4 * mpmath.sinpi(k * t) ** 2
-            v = 4 * mpmath.sinpi(l * t) ** 2
-            return mpmath.log(u + v + u * v)
-
-        est, err = mpmath.quad(
-            integrand, [mp.mpf(0), mp.mpf(1) / 2], error=True, maxdegree=10
-        )
-        est *= 2
-        err *= 2
-        tolerance = mp.mpf(2) ** (-(INTEGRAL_PRECISION // 2))
-        if err > tolerance:
-            raise QuadratureFailure(
-                f"integral error estimate {mpmath.nstr(err, 5)} exceeds "
-                f"tolerance {mpmath.nstr(tolerance, 5)}"
-            )
-        value = mpmath.exp(est)
-        bound = value * (100 * err + mp.mpf(2) ** (-(INTEGRAL_PRECISION - 8)))
+    if precision_bits < MIN_PRECISION:
+        raise ValueError(f"precision_bits must be at least {MIN_PRECISION}")
+    with mp.workprec(precision_bits + 32):
+        # node t = 0 contributes k^2 + l^2, node t = 1/2 contributes P(-1) / 4
+        ends = (k * k + l * l) * (6 if k % 2 and l % 2 else 1)
+        n = 2 * (k + l)
+        # for even n the s factors over 0 < j < n/2 multiply to n/2, and
+        # those of the odd nodes a doubling adds to exactly 2
+        half = _node_product(k, l, n) / (n // 2)
+        prev = mpmath.log(ends * half**2) / n
+        tolerance = mp.mpf(2) ** (-(precision_bits // 2))
+        last = None
+        while True:
+            if 2 * n > NODE_CAP:
+                raise QuadratureFailure(
+                    f"trapezoidal rule not within {mpmath.nstr(tolerance, 5)} "
+                    f"at {n} nodes, and NODE_CAP = {NODE_CAP} allows no doubling"
+                )
+            half *= _node_product(k, l, 2 * n, step=2) / 2
+            n *= 2
+            mean = mpmath.log(ends * half**2) / n
+            diff = abs(mean - prev)
+            if diff <= tolerance and last is not None and diff < last:
+                break
+            prev, last = mean, diff
+        value = mpmath.exp(mean)
+        bound = value * (100 * diff + mp.mpf(2) ** (-(precision_bits - 8)))
     return RealApprox(value, bound)
 
 

@@ -215,7 +215,7 @@ def cmd_asymptotic(args) -> int:
     if p is not None and (p.k, p.l) != tuple(sorted((k, l))):
         raise InvalidParams(f"--ratio-at {args.ratio_at} reduces I({p.n},{k},{l}) to {p}")
     root = mahler_constant(k, l, precision_bits=args.precision)
-    integral = mahler_integral(k, l)
+    integral = mahler_integral(k, l, precision_bits=args.precision)
     diff = abs(root.value - integral.value)
     agree = bool(diff <= root.error_bound + integral.error_bound)
     rec = {

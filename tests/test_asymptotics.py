@@ -4,9 +4,9 @@ import pytest
 import helpers
 import igraphjac.asymptotics
 from igraphjac import mahler_constant, mahler_integral, trace_poly, tree_count_resultant
-from igraphjac.asymptotics import RootSet, asymptotic_ratio, poly_roots
-from igraphjac.errors import ClassificationFailure, ZeroPolynomial
-from igraphjac.igraph import GraphParams
+from igraphjac.asymptotics import RootSet, _node_product, asymptotic_ratio, poly_roots
+from igraphjac.errors import ClassificationFailure, QuadratureFailure, ZeroPolynomial
+from igraphjac.igraph import GraphParams, normalize
 from igraphjac.polyring import IntPoly
 
 
@@ -157,6 +157,33 @@ class TestMahlerIntegral:
     def test_error_bound_positive(self):
         b = mahler_integral(1, 3)
         assert 0 < b.error_bound < mpmath.mpf("1e-20")
+
+    def test_error_bound_tracks_precision(self):
+        bounds = [mahler_integral(1, 2, precision_bits=bits).error_bound for bits in (32, 128, 256)]
+        assert bounds[0] > mpmath.mpf("1e-12")
+        assert bounds[0] > bounds[1] * 2**40 > bounds[2] * 2**80
+
+    def test_rejects_tiny_precision(self):
+        with pytest.raises(ValueError):
+            mahler_integral(1, 2, precision_bits=16)
+
+    @pytest.mark.parametrize("n,k,l", [(11, 2, 3), (40, 3, 4), (17, 1, 2)])
+    def test_node_product_is_tree_count(self, n, k, l):
+        # prod_{0<j<n} P(w^j) / |1 - w^j|^2 = tau(I(n, k, l)) / n, and the
+        # denominators multiply to n^2, the square of (z^n - 1)/(z - 1) at z = 1
+        assert normalize(n, k, l) == GraphParams(n, k, l)
+        with mpmath.workprec(340):
+            denominators = mpmath.fprod(4 * mpmath.sinpi(mpmath.mpf(j) / n) ** 2 for j in range(1, n))
+            assert abs(denominators - n * n) < mpmath.mpf(2) ** -300 * n * n
+            middle = (3 - 2 * (-1) ** k) * (3 - 2 * (-1) ** l) - 1 if n % 2 == 0 else 1
+            got = _node_product(k, l, n) ** 2 * middle / (n * n)
+            want = mpmath.mpf(tree_count_resultant(GraphParams(n, k, l)).tau) / n
+            assert abs(got / want - 1) < mpmath.mpf("1e-93")
+
+    def test_node_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(igraphjac.asymptotics, "NODE_CAP", 64)
+        with pytest.raises(QuadratureFailure):
+            mahler_integral(5, 6, precision_bits=64)
 
 
 class TestAsymptoticRatio:

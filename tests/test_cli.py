@@ -269,6 +269,27 @@ class TestAsymptoticCommand:
             last_place = 10.0 ** (1 - digits)  # both values lie in [1, 10)
             assert last_place >= float(rec[key + "_error_bound"]) > last_place / 100
 
+    @pytest.mark.parametrize("k,l", [(9, 14), (11, 18), (20, 21)])
+    def test_wide_steps_agree(self, capsys, k, l):
+        # cells whose integrand oscillates k + l times per period
+        code, (rec,) = run_json_lines(
+            capsys,
+            ["asymptotic", "--k", str(k), "--l", str(l), "--precision", "64", "--json"],
+        )
+        assert code == EXIT_OK
+        assert rec["agree"] is True
+
+    def test_integral_digits_follow_precision(self, capsys):
+        # the integral's bound follows --precision: 32 bits justify a few digits
+        code, (rec,) = run_json_lines(
+            capsys, ["asymptotic", "--k", "1", "--l", "1", "--precision", "32", "--json"]
+        )
+        assert code == EXIT_OK
+        assert rec["agree"] is True
+        assert len(rec["integral"].replace(".", "")) <= 10
+        assert float(rec["integral_error_bound"]) > 1e-10
+        assert rec["integral"].startswith("3.73")
+
     def test_ratio_probe(self, capsys):
         code, records = run_json_lines(
             capsys,
