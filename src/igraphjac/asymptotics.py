@@ -13,12 +13,18 @@ mean unchanged and removes the zero at z = 1, so the rule converges
 geometrically, and its N-node product is (k^2 + l^2) tau(I(N, k, l)) / N.
 
 Roots come from mpmath.polyroots, a Durand-Kerner iteration, which needs
-distinct roots; R always has them.  An iteration that does not settle
-raises ConvergenceFailure.
+distinct roots; R always has them.  It starts from roots that a short
+Aberth iteration in complex floats has already placed near their targets,
+so it only has to polish them to the requested bits; polyroots alone
+decides convergence, and an iteration that does not settle raises
+ConvergenceFailure.
 """
 
 from __future__ import annotations
 
+import cmath
+import math
+import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -66,9 +72,56 @@ class RealApprox:
 # bit length of the polynomial's largest coefficient
 SWEEPS_PER_BIT = 4
 GUARD_BITS = 64
+# Most Aberth sweeps the float start may take; trace_poly(40, 41), of degree
+# 80, takes 107
+START_SWEEPS = 160
 # Most nodes mahler_integral's trapezoidal rule may use: about a minute of
 # sinpi calls at a few hundred bits
 NODE_CAP = 1 << 20
+
+
+def _float_start(coeffs: list[int]) -> list | None:
+    """Start points for polyroots from an Aberth iteration in complex floats.
+
+    coeffs run from the leading term down to a nonzero constant.  The
+    iteration starts on a circle of radius 2 max |c_i|^(1/i), Fujiwara's
+    bound on the roots of the monic polynomial with coefficients c_i, and
+    freezes a root once |p| there is at most eps sum |c_i| |z|^i, the scale
+    of the rounding error of Horner's rule.  None means no start: the degree
+    is below 1, a coefficient overflows a float, a value goes non-finite, or
+    a root has not settled after START_SWEEPS sweeps.
+    """
+    deg = len(coeffs) - 1
+    if deg < 1:
+        return None
+    try:
+        monic = [c / coeffs[0] for c in coeffs]
+        radius = 2 * max(abs(c) ** (1 / i) for i, c in enumerate(monic) if i)
+        roots = [cmath.rect(radius, 2 * math.pi * (i + 0.25) / deg) for i in range(deg)]
+        settled = [False] * deg
+        for _ in range(START_SWEEPS):
+            for i, z in enumerate(roots):
+                if settled[i]:
+                    continue
+                p = dp = 0j
+                size, az = 0.0, abs(z)
+                for c in monic:
+                    dp = dp * z + p
+                    p = p * z + c
+                    size = size * az + abs(c)
+                if abs(p) <= sys.float_info.epsilon * size:
+                    settled[i] = True
+                    continue
+                w = p / dp
+                w /= 1 - w * sum(1 / (z - r) for j, r in enumerate(roots) if j != i)
+                roots[i] = z - w
+                if not cmath.isfinite(roots[i]):
+                    return None
+            if all(settled):
+                return [mp.mpc(z) for z in roots]
+    except (OverflowError, ZeroDivisionError):
+        pass
+    return None
 
 
 def poly_roots(poly: IntPoly, precision_bits: int = DEFAULT_PRECISION) -> RootSet:
@@ -81,7 +134,10 @@ def poly_roots(poly: IntPoly, precision_bits: int = DEFAULT_PRECISION) -> RootSe
     polynomial whose coefficients dwarf its values near the roots:
     trace_poly(40, 41) stalls for its whole sweep cap with a fixed 64-bit
     guard.  Zero roots are split off before the iteration and come back
-    exactly 0, as does the imaginary part of a real root.
+    exactly 0, as does the imaginary part of a real root.  The iteration
+    starts from _float_start's float roots, which cut its sweeps several
+    times over, or from polyroots' own start where there are none; the
+    start changes neither its tolerance nor its sweep cap.
     ConvergenceFailure means the iteration did not settle within its sweep
     cap.  A repeated root (spectral_poly's double root at z = 1, say) stalls
     it near sqrt(eps): it may then raise ConvergenceFailure or land anyway,
@@ -94,12 +150,15 @@ def poly_roots(poly: IntPoly, precision_bits: int = DEFAULT_PRECISION) -> RootSe
     scale = max(abs(c) for c in poly.coeffs)
     guard = GUARD_BITS + scale.bit_length()
     zeros = next(i for i, c in enumerate(poly.coeffs) if c)
+    coeffs = poly.coeffs[zeros:][::-1]
+    start = _float_start(coeffs)
     with mp.workprec(precision_bits + guard):
         try:
             found = [mp.mpf(0)] * zeros + mpmath.polyroots(
-                poly.coeffs[zeros:][::-1],
+                coeffs,
                 maxsteps=128 + SWEEPS_PER_BIT * precision_bits,
                 extraprec=guard,
+                roots_init=start,
             )
         except mp.NoConvergence as exc:
             raise ConvergenceFailure(
@@ -120,7 +179,8 @@ def mahler_constant(k: int, l: int, precision_bits: int = DEFAULT_PRECISION) -> 
     double root at z = 1 is the known root x = 2 divided out of R.  A factor
     within 2^(-precision_bits/4) of 1 (x on or near [-2, 2]) raises
     ClassificationFailure.  A Newton correction dx moves |z| by a relative
-    |dx| / |s|, which carries the error bound.
+    |dx| / |s|, which carries the error bound; a root where R' is 0 has
+    none, since it is a repeated root, and raises ConvergenceFailure.
     """
     trace = trace_poly(k, l)
     rset = poly_roots(trace, precision_bits)
@@ -140,8 +200,11 @@ def mahler_constant(k: int, l: int, precision_bits: int = DEFAULT_PRECISION) -> 
                 )
             value *= factor
             q, dq = mpmath.polyval(cs, x, derivative=True)
-            if dq != 0:
-                err_rel += abs(q / dq) / abs(s)
+            if dq == 0:
+                raise ConvergenceFailure(
+                    f"root {mpmath.nstr(x, 20)} is repeated: R' vanishes there"
+                )
+            err_rel += abs(q / dq) / abs(s)
         floor = mp.mpf(2) ** (-(precision_bits - 8))
         bound = value * (16 * err_rel + floor)
     return RealApprox(value, bound)

@@ -1,17 +1,36 @@
 import mpmath
 import pytest
 
+import expected_tables
 import helpers
 import igraphjac.asymptotics
 from igraphjac import mahler_constant, mahler_integral, trace_poly, tree_count_resultant
 from igraphjac.asymptotics import RootSet, _node_product, asymptotic_ratio, poly_roots
-from igraphjac.errors import ClassificationFailure, QuadratureFailure, ZeroPolynomial
+from igraphjac.errors import (
+    ClassificationFailure,
+    ConvergenceFailure,
+    QuadratureFailure,
+    ZeroPolynomial,
+)
 from igraphjac.igraph import GraphParams, normalize
 from igraphjac.polyring import IntPoly
 
 
 def sorted_reals(roots):
     return sorted(mpmath.re(z) for z in roots)
+
+
+def spy_on_polyroots(monkeypatch):
+    """Record the roots_init each mpmath.polyroots call gets."""
+    starts = []
+    real = mpmath.polyroots
+
+    def spy(coeffs, *args, roots_init=None, **kwargs):
+        starts.append(roots_init)
+        return real(coeffs, *args, roots_init=roots_init, **kwargs)
+
+    monkeypatch.setattr(mpmath, "polyroots", spy)
+    return starts
 
 
 class TestPolyRoots:
@@ -65,6 +84,52 @@ class TestPolyRoots:
         real = [z for z in rset.roots if abs(mpmath.im(z)) < mpmath.mpf("1e-30")]
         assert [mpmath.nstr(mpmath.re(z), 5) for z in real] == ["-2.2043", "2.322"]
         assert all(mpmath.im(z) == 0 for z in real)
+
+    def test_monomial_roots_are_exact_zeros(self):
+        rset = poly_roots(IntPoly([0, 0, 0, 1]), precision_bits=64)
+        assert rset.roots == (0, 0, 0)
+
+    def test_constant_has_no_roots(self):
+        rset = poly_roots(IntPoly([5]), precision_bits=64)
+        assert rset.roots == ()
+        assert rset.residual_bound == 0
+
+    def test_float_overflow_runs_unseeded(self, monkeypatch):
+        # (x - 1)(x - 2^1100): its coefficients overflow a float
+        starts = spy_on_polyroots(monkeypatch)
+        rset = poly_roots(IntPoly([2**1100, -(2**1100 + 1), 1]), precision_bits=64)
+        assert starts == [None]
+        small, big = sorted_reals(rset.roots)
+        with mpmath.workprec(128):
+            assert abs(small - 1) < mpmath.mpf(2) ** -60
+            assert abs(big / mpmath.mpf(2) ** 1100 - 1) < mpmath.mpf(2) ** -60
+
+    def test_non_monic(self):
+        # 6x^2 - 5x + 1 = (2x - 1)(3x - 1)
+        rset = poly_roots(IntPoly([1, -5, 6]), precision_bits=64)
+        third, half = sorted_reals(rset.roots)
+        with mpmath.workprec(128):
+            assert abs(third - mpmath.mpf(1) / 3) < mpmath.mpf(2) ** -60
+            assert abs(half - mpmath.mpf(1) / 2) < mpmath.mpf(2) ** -60
+
+    def test_float_start_reaches_polyroots(self, monkeypatch):
+        starts = spy_on_polyroots(monkeypatch)
+        poly_roots(trace_poly(5, 6), precision_bits=64)
+        (start,) = starts
+        assert len(start) == trace_poly(5, 6).degree == 10
+        assert all(mpmath.isfinite(z) for z in start)
+
+    @pytest.mark.parametrize("bits", [64, 128])
+    def test_table_a_roots_match_unseeded(self, monkeypatch, bits):
+        cells = sorted(expected_tables.GROWTH_4DP)
+        seeded = [poly_roots(trace_poly(k, l), bits).roots for k, l in cells]
+        monkeypatch.setattr(igraphjac.asymptotics, "_float_start", lambda coeffs: None)
+        tolerance = mpmath.mpf(2) ** -bits
+        for (k, l), roots in zip(cells, seeded):
+            unseeded = poly_roots(trace_poly(k, l), bits).roots
+            assert len(roots) == len(unseeded) == k + l - 1
+            for got, want in zip(roots, unseeded):
+                assert abs(got - want) <= tolerance, (k, l, bits)
 
     def test_reciprocal_pairing(self):
         rset = poly_roots(helpers.spectral_quotient(2, 3), precision_bits=192)
@@ -126,6 +191,16 @@ class TestMahlerConstant:
 
         monkeypatch.setattr(igraphjac.asymptotics, "poly_roots", fake_roots)
         with pytest.raises(ClassificationFailure):
+            mahler_constant(1, 2)
+
+    def test_repeated_root_raises(self, monkeypatch):
+        # (x - 3)^2: R' vanishes at the root, so no Newton step bounds its error
+        def fake_roots(poly, precision_bits):
+            return RootSet((mpmath.mpc(3), mpmath.mpc(3)), mpmath.mpf(0))
+
+        monkeypatch.setattr(igraphjac.asymptotics, "trace_poly", lambda k, l: IntPoly([9, -6, 1]))
+        monkeypatch.setattr(igraphjac.asymptotics, "poly_roots", fake_roots)
+        with pytest.raises(ConvergenceFailure, match="is repeated"):
             mahler_constant(1, 2)
 
     def test_quotient_root_correspondence(self):

@@ -269,7 +269,7 @@ class TestAsymptoticCommand:
             last_place = 10.0 ** (1 - digits)  # both values lie in [1, 10)
             assert last_place >= float(rec[key + "_error_bound"]) > last_place / 100
 
-    @pytest.mark.parametrize("k,l", [(9, 14), (11, 18), (20, 21)])
+    @pytest.mark.parametrize("k,l", [(9, 14), (11, 18), (20, 21), (30, 31)])
     def test_wide_steps_agree(self, capsys, k, l):
         # cells whose integrand oscillates k + l times per period
         code, (rec,) = run_json_lines(
