@@ -1,14 +1,16 @@
 """Dense exact linear algebra over the integers.
 
 Everything here works on arbitrary-precision Python ints: fraction-free
-determinants (Bareiss) and the Smith normal form by elimination with
-smallest-pivot selection, over Z or modulo a multiple of the largest
-invariant factor (the exponent).  No floating point.
+determinants (Bareiss) and the Smith normal form, over Z or modulo a
+multiple of the largest invariant factor (the exponent).  The Smith form
+diagonalises by elimination with smallest-pivot selection and one Bezout
+2 x 2 step wherever the pivot does not divide an entry, then orders the
+diagonal into a divisibility chain by one gcd/lcm pass.  No floating point.
 """
 
 from __future__ import annotations
 
-from math import gcd
+from math import gcd, lcm
 
 from .errors import DimensionMismatch
 
@@ -139,11 +141,10 @@ def _clear_cross(a, t, nr, nc, modulus) -> int:
     """Zero out row t and column t beyond the pivot; return the final pivot (> 0).
 
     Where the pivot divides an entry, one multiple of the pivot row (column)
-    is subtracted.  Where it does not, the pivot shrinks strictly, so the
-    loop ends: modulo D a 2 x 2 unimodular step built from the Bezout
-    coefficients makes the gcd of the two the pivot; over Z the remainder is
-    swapped in as the pivot (a Euclid step), because Bezout coefficients
-    let entries grow without a modulus to bound them.
+    is subtracted.  Where it does not, a 2 x 2 unimodular step built from the
+    Bezout coefficients makes the gcd of the two the pivot, so the pivot
+    shrinks strictly and the loop ends.  Given a modulus, every changed row
+    is reduced modulo it.
     """
     while True:
         rt = a[t]
@@ -156,46 +157,39 @@ def _clear_cross(a, t, nr, nc, modulus) -> int:
                 continue
             piv = rt[t]
             q, r = divmod(v, piv)
-            if r and modulus:
+            if r:
                 g, x, y = _bezout(piv, v)
                 u, w = piv // g, v // g
                 pairs = list(zip(rt[t:], ri[t:]))
                 rt[t:] = [x * c + y * d for c, d in pairs]
                 ri[t:] = [u * d - w * c for c, d in pairs]
-                _reduce(rt, t, modulus)
+                if modulus:
+                    _reduce(rt, t, modulus)
             else:
                 for j in range(t, nc):
                     ri[j] -= q * rt[j]
             if modulus:
                 _reduce(ri, t, modulus)
-            elif r:
-                a[t], a[i] = ri, rt
-                break  # restart with the remainder as pivot
-        else:
-            # column t is now zero below the pivot, so subtracting a multiple
-            # of it from another column only changes that column's row t
-            piv = rt[t]
-            for j in range(t + 1, nc):
-                v = rt[j]
-                if not v:
-                    continue
-                if v % piv == 0:
-                    rt[j] = 0
-                    continue
+        # column t is now zero below the pivot, so subtracting a multiple
+        # of it from another column only changes that column's row t
+        piv = rt[t]
+        for j in range(t + 1, nc):
+            v = rt[j]
+            if not v:
+                continue
+            if v % piv == 0:
+                rt[j] = 0
+                continue
+            g, x, y = _bezout(piv, v)
+            u, w = piv // g, v // g
+            for row in a[t:]:
+                c, d = row[t], row[j]
+                row[t], row[j] = x * c + y * d, u * d - w * c
                 if modulus:
-                    g, x, y = _bezout(piv, v)
-                    u, w = piv // g, v // g
-                    for row in a[t:]:
-                        c, d = row[t], row[j]
-                        row[t], row[j] = x * c + y * d, u * d - w * c
-                        _reduce(row, t, modulus)
-                else:
-                    rt[j] = v % piv
-                    for row in a:
-                        row[t], row[j] = row[j], row[t]
-                break  # column t has entries below the pivot again
-            else:
-                return piv
+                    _reduce(row, t, modulus)
+            break  # column t has entries below the pivot again
+        else:
+            return piv
 
 
 def smith_normal_form(m: IntMatrix, modulus: int = 0) -> tuple[int, ...]:
@@ -210,8 +204,11 @@ def smith_normal_form(m: IntMatrix, modulus: int = 0) -> tuple[int, ...]:
     are exact when D is a multiple of the largest invariant factor (the
     exponent); a caller that knows the torsion order can test that, since
     the gcds multiply to it only then.  Elimination pivots on the
-    smallest-magnitude nonzero entry and repairs the divisibility chain by
-    folding offending rows into the pivot row.
+    smallest-magnitude nonzero entry and diagonalises m; one pass that
+    replaces each pair (d_i, d_j), i < j, of the diagonal by (gcd, lcm) then
+    gives the divisibility chain, with zeros last since lcm(0, d) = 0.
+    Modulo D, gcd(., D) commutes with that pass, so each factor is still
+    gcd(d_i, D).
     """
     if modulus < 0:
         raise ValueError("modulus must be nonnegative")
@@ -225,19 +222,11 @@ def smith_normal_form(m: IntMatrix, modulus: int = 0) -> tuple[int, ...]:
     for t in range(size):
         if not _move_smallest_pivot(a, t, nr, nc):
             break
-        while True:
-            # gcd(piv, D) divides every later residue once it divides every
-            # remaining entry, so the chain holds after reduction mod D
-            d = gcd(_clear_cross(a, t, nr, nc, modulus), modulus)
-            if d == 1:
-                break
-            bad = next((i for i in range(t + 1, nr) if any(x % d for x in a[i][t + 1 :])), None)
-            if bad is None:
-                break
-            rt = a[t]
-            rb = a[bad]
-            for j in range(t + 1, nc):
-                rt[j] += rb[j]
-        diag.append(d)
+        diag.append(gcd(_clear_cross(a, t, nr, nc, modulus), modulus))
     diag.extend([modulus] * (size - len(diag)))
+    for i in range(size):
+        for j in range(i + 1, size):
+            if diag[i] == 1:
+                break
+            diag[i], diag[j] = gcd(diag[i], diag[j]), lcm(diag[i], diag[j])
     return tuple(diag)

@@ -16,8 +16,10 @@ from .bigmat import IntMatrix
 from .errors import DisconnectedError, InvalidParams, LoopError
 
 DEGREE = 3
-# Largest n for the dense n x n circulant S.  At n = 400 with small steps its
-# Smith form takes 0.05-0.15 s and its minor determinant 1.8-2.5 s, in 22 MB.
+# Largest n for the dense n x n circulant S, a bound on memory (22 MB at
+# n = 400), not on time.  At n = 400 with small steps its Smith form takes
+# 0.05-0.15 s and its minor determinant 1.8-2.5 s, but wider steps have a
+# heavy tail over Z: I(130,7,9) takes over 15 s and I(135,7,9) 0.05 s.
 DENSE_CEILING = 400
 
 

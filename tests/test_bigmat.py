@@ -8,6 +8,12 @@ from igraphjac.bigmat import IntMatrix, determinant, smith_normal_form
 from igraphjac.errors import DimensionMismatch
 from helpers import mat_mul, mat_pow
 
+try:
+    from sympy import ZZ, Matrix
+    from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+except ImportError:
+    sympy_snf = None
+
 
 def random_matrix(rng, rows, cols, bound=9):
     return IntMatrix([[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rows)])
@@ -122,6 +128,12 @@ class TestSmithNormalForm:
         assert factors == (2, 12)
         assert smith_normal_form(IntMatrix([[4, 0], [0, 6]]), modulus=8) == (2, 4)
 
+    def test_diagonal_ordered_by_chain_pass(self):
+        # already diagonal, so only the gcd/lcm pass orders it
+        m = IntMatrix([[0, 0, 0], [0, 6, 0], [0, 0, 4]])
+        assert smith_normal_form(m) == (2, 12, 0)
+        assert smith_normal_form(m, modulus=8) == (2, 4, 8)
+
     def test_identity(self):
         assert smith_normal_form(helpers.identity(3)) == (1, 1, 1)
 
@@ -145,11 +157,20 @@ class TestSmithNormalForm:
     def test_divisibility_chain_and_sign(self):
         rng = random.Random(29)
         mod_rng = random.Random(30)
-        for trial in range(30):
-            rows = rng.randint(1, 5)
-            cols = rng.randint(1, 5)
-            m = random_matrix(rng, rows, cols)
+        for trial in range(60):
+            rows = rng.randint(1, 6)
+            cols = rng.randint(1, 6)
+            m = random_matrix(rng, rows, cols, bound=rng.choice((9, 10**6)))
+            if rows > 1 and trial % 3 == 0:
+                # rank-deficient: one row a multiple of another
+                data = m.to_lists()
+                i, j = rng.sample(range(rows), 2)
+                data[i] = [rng.randint(-3, 3) * x for x in data[j]]
+                m = IntMatrix(data)
             factors = smith_normal_form(m)
+            if sympy_snf is not None:
+                diag = sympy_snf(Matrix(m.to_lists()), domain=ZZ)
+                assert factors == tuple(abs(int(diag[i, i])) for i in range(len(factors)))
             # modulo D the factors are those of [m | D*I]: gcd(d, D) each
             for modulus in (mod_rng.randint(1, 60), mod_rng.randint(1, 10**6)):
                 expected = tuple(gcd(d, modulus) for d in factors)

@@ -142,11 +142,15 @@ def test_laplacian_gate():
             dense_route(big)
 
 
-@pytest.mark.parametrize("n", [58, 64, 76, 112])
-def test_heavy_tail_graphs_agree(n):
-    # the Smith form over Z of the 2n x 2n Laplacian took 0.35 s to over 20 s
-    # on these; the circulant's takes milliseconds
-    p = GraphParams(n, 3, 4)
+@pytest.mark.parametrize(
+    "n, k, l",
+    [pytest.param(n, 3, 4, id=str(n)) for n in (58, 64, 76, 112)]
+    + [(68, 5, 9), (90, 6, 7), (110, 5, 7)],
+)
+def test_heavy_tail_graphs_agree(n, k, l):
+    # the Smith form over Z of the n x n circulant S; the wider steps meet
+    # pivots that divide no entry, so they run the Bezout step over Z
+    p = GraphParams(n, k, l)
     assert jacobian_via_laplacian(p) == jacobian_via_companion(p)
 
 
