@@ -37,7 +37,7 @@ from .errors import (
     QuadratureFailure,
     ZeroPolynomial,
 )
-from .polyring import IntPoly, _check_steps, trace_poly
+from .polyring import _check_steps, trace_poly
 
 if TYPE_CHECKING:  # pragma: no cover
     from .igraph import GraphParams
@@ -124,8 +124,8 @@ def _float_start(coeffs: list[int]) -> list | None:
     return None
 
 
-def poly_roots(poly: IntPoly, precision_bits: int = DEFAULT_PRECISION) -> RootSet:
-    """All roots of an integer polynomial with distinct roots.
+def poly_roots(poly: tuple[int, ...], precision_bits: int = DEFAULT_PRECISION) -> RootSet:
+    """All roots of an integer polynomial, ascending coefficients, with distinct roots.
 
     mpmath.polyroots runs Durand-Kerner with a guard of GUARD_BITS plus the
     bit length of the largest coefficient beyond precision_bits, and rounds
@@ -143,14 +143,14 @@ def poly_roots(poly: IntPoly, precision_bits: int = DEFAULT_PRECISION) -> RootSe
     it near sqrt(eps): it may then raise ConvergenceFailure or land anyway,
     so only distinct roots are promised.
     """
-    if poly.is_zero:
-        raise ZeroPolynomial("the zero polynomial has no finite root set")
+    if not any(poly[-1:]):
+        raise ZeroPolynomial(f"leading coefficient of {poly!r} is 0")
     if precision_bits < MIN_PRECISION:
         raise ValueError(f"precision_bits must be at least {MIN_PRECISION}")
-    scale = max(abs(c) for c in poly.coeffs)
+    scale = max(abs(c) for c in poly)
     guard = GUARD_BITS + scale.bit_length()
-    zeros = next(i for i, c in enumerate(poly.coeffs) if c)
-    coeffs = poly.coeffs[zeros:][::-1]
+    zeros = next(i for i, c in enumerate(poly) if c)
+    coeffs = poly[zeros:][::-1]
     start = _float_start(coeffs)
     with mp.workprec(precision_bits + guard):
         try:
@@ -162,10 +162,11 @@ def poly_roots(poly: IntPoly, precision_bits: int = DEFAULT_PRECISION) -> RootSe
             )
         except mp.NoConvergence as exc:
             raise ConvergenceFailure(
-                f"Durand-Kerner iteration stalled on degree {poly.degree} "
+                f"Durand-Kerner iteration stalled on degree {len(poly) - 1} "
                 f"at {precision_bits} bits"
             ) from exc
-        residual = max((abs(poly(mp.mpc(z))) / scale for z in found), default=mp.mpf(0))
+        values = (abs(mpmath.polyval(poly[::-1], z)) for z in found)
+        residual = max(values, default=mp.mpf(0)) / scale
         found.sort(key=lambda z: (mp.re(z), mp.im(z)))
     return RootSet(tuple(found), residual)
 
@@ -186,7 +187,7 @@ def mahler_constant(k: int, l: int, precision_bits: int = DEFAULT_PRECISION) -> 
     rset = poly_roots(trace, precision_bits)
     with mp.workprec(precision_bits + 64):
         margin = mp.mpf(2) ** (-(precision_bits // 4))
-        cs = trace.coeffs[::-1]
+        cs = trace[::-1]
         value = mp.mpf(1)
         err_rel = mp.mpf(0)
         for x in rset.roots:

@@ -26,8 +26,8 @@ from .igraph import GraphParams, circulant_matrix
 from .polyring import presentation_matrix, spectral_poly
 from .treecount import decompose, tree_count_resultant
 
-# Above this n the command line's auto method leaves the dense Laplacian
-# routes for the ring-kernel ones.
+# Above this n the command line's auto method leaves the dense routes on the
+# circulant S for the ring-kernel ones; perfbench/worker.py imports the name.
 LAPLACIAN_GATE = 60
 
 

@@ -1,6 +1,7 @@
-"""Exact integer polynomials and the family-specific constructions.
+"""Integer polynomials as ascending int tuples, and the family-specific rings.
 
-The central object is the monic polynomial
+A polynomial is a tuple with the coefficient of z^i at index i.  The central
+object is the monic polynomial
 
     spectral_poly(k, l) = z^(k+l) ((3 - z^k - z^-k)(3 - z^l - z^-l) - 1),
 
@@ -22,68 +23,7 @@ from __future__ import annotations
 from math import gcd
 
 from .bigmat import IntMatrix
-from .errors import InternalInconsistency, InvalidParams, ZeroPolynomial
-
-
-def _trimmed(coeffs) -> tuple[int, ...]:
-    cs = list(coeffs)
-    for c in cs:
-        if not isinstance(c, int) or isinstance(c, bool):
-            raise TypeError("coefficients must be ints")
-    while len(cs) > 1 and cs[-1] == 0:
-        cs.pop()
-    if not cs:
-        cs = [0]
-    return tuple(cs)
-
-
-class IntPoly:
-    """Univariate integer polynomial, coefficients ascending by exponent."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        object.__setattr__(self, "coeffs", _trimmed(coeffs))
-
-    @property
-    def is_zero(self) -> bool:
-        return self.coeffs == (0,)
-
-    @property
-    def degree(self) -> int:
-        if self.is_zero:
-            raise ZeroPolynomial("the zero polynomial has no degree")
-        return len(self.coeffs) - 1
-
-    @property
-    def lead(self) -> int:
-        return self.coeffs[-1]
-
-    def __call__(self, x):
-        acc = 0 * x if not isinstance(x, int) else 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def deflate(self, root: int) -> tuple["IntPoly", int]:
-        """Synthetic division by (x - root); returns (quotient, remainder)."""
-        if self.is_zero:
-            raise ZeroPolynomial("cannot deflate the zero polynomial")
-        rev = list(reversed(self.coeffs))
-        out = [rev[0]]
-        for c in rev[1:]:
-            out.append(c + root * out[-1])
-        rem = out.pop()
-        return IntPoly(list(reversed(out))), rem
-
-    def __eq__(self, other):
-        return isinstance(other, IntPoly) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __repr__(self):
-        return f"IntPoly({list(self.coeffs)!r})"
+from .errors import InternalInconsistency, InvalidParams
 
 
 def _check_steps(k: int, l: int):
@@ -94,7 +34,7 @@ def _check_steps(k: int, l: int):
         raise InvalidParams(f"steps must be coprime, got k={k}, l={l}")
 
 
-def spectral_poly(k: int, l: int) -> IntPoly:
+def spectral_poly(k: int, l: int) -> tuple[int, ...]:
     """z^(k+l) ((3 - z^k - z^-k)(3 - z^l - z^-l) - 1), the eigenvalue-product polynomial.
 
     Divided by z^(k+l), its value at each n-th root of unity is the product
@@ -108,10 +48,10 @@ def spectral_poly(k: int, l: int) -> IntPoly:
         for e2, c2 in ((0, -1), (l, 3), (2 * l, -1)):
             coeffs[e1 + e2] += c1 * c2
     coeffs[k + l] -= 1
-    return IntPoly(coeffs)
+    return tuple(coeffs)
 
 
-def trace_poly(k: int, l: int) -> IntPoly:
+def trace_poly(k: int, l: int) -> tuple[int, ...]:
     """R(x) = ((3 - V_k)(3 - V_l) - 1) / (x - 2), spectral_poly in x = z + 1/z.
 
     V_j is the Lucas polynomial with V_j(z + 1/z) = z^j + z^-j (V_0 = 2,
@@ -130,10 +70,12 @@ def trace_poly(k: int, l: int) -> IntPoly:
     for j, c in ((k, -3), (l, -3), (k + l, 1), (abs(k - l), 1)):
         for i, v in enumerate(lucas[j]):
             g[i] += c * v
-    r, rem = IntPoly(g).deflate(2)
-    if rem:
+    r = [g[-1]]  # synthetic division by x - 2, from the top coefficient down
+    for c in reversed(g[:-1]):
+        r.append(c + 2 * r[-1])
+    if r.pop():
         raise InternalInconsistency("x = 2 must be a root before deflation")
-    return r
+    return tuple(reversed(r))
 
 
 def _times_z(a: list[int], f: tuple[int, ...]) -> list[int]:
@@ -166,13 +108,16 @@ def _mul(a: list[int], b: list[int], f: tuple[int, ...]) -> list[int]:
     return out[:s]
 
 
-def _monic_coeffs(f: IntPoly, n: int) -> tuple[int, ...]:
-    """The coefficients of f, once f is monic of degree >= 1 and n >= 0."""
-    if f.is_zero or f.degree < 1 or f.lead != 1:
-        raise InvalidParams(f"need a monic polynomial of degree >= 1, got {f!r}")
+def _monic_coeffs(f, n: int) -> tuple[int, ...]:
+    """The ascending int coefficients f, once f is monic of degree >= 1 and n >= 0."""
+    coeffs = tuple(f)
+    if any(not isinstance(c, int) or isinstance(c, bool) for c in coeffs):
+        raise InvalidParams(f"coefficients must be ints, got {coeffs!r}")
+    if len(coeffs) < 2 or coeffs[-1] != 1:
+        raise InvalidParams(f"need a monic polynomial of degree >= 1, got {coeffs!r}")
     if not isinstance(n, int) or n < 0:
         raise InvalidParams("n must be a nonnegative int")
-    return f.coeffs
+    return coeffs
 
 
 def _multiplication_matrix(r: list[int], f: tuple[int, ...]) -> IntMatrix:
@@ -183,7 +128,7 @@ def _multiplication_matrix(r: list[int], f: tuple[int, ...]) -> IntMatrix:
     return IntMatrix([list(row) for row in zip(*cols)])
 
 
-def presentation_matrix(f: IntPoly, n: int) -> IntMatrix:
+def presentation_matrix(f, n: int) -> IntMatrix:
     """Matrix of multiplication by z^n - 1 on Z[z]/(f), for monic f.
 
     Column j holds the coefficients of (z^n - 1) z^j mod f in the basis
@@ -202,7 +147,7 @@ def presentation_matrix(f: IntPoly, n: int) -> IntMatrix:
     return _multiplication_matrix(r, coeffs)
 
 
-def lucas_matrix(f: IntPoly, n: int) -> IntMatrix:
+def lucas_matrix(f, n: int) -> IntMatrix:
     """Matrix of multiplication by V_n(x) - 2 on Z[x]/(f), for monic f.
 
     V_n is the Lucas polynomial of trace_poly, so the determinant is the

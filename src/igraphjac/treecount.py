@@ -128,11 +128,12 @@ def tree_count_chebyshev(p: GraphParams, precision_bits: int = DEFAULT_PRECISION
 def decompose(t: TreeCount, p: GraphParams) -> Decomposition:
     """Split tau as multiplier * n * a^2 with an exactness guarantee.
 
-    The multiplier comes from the exact value of P at z = -1, read off the
-    monic form as (-1)^(k+l) spectral_poly(k, l)(-1): 24 there (both steps
-    odd) combines with even n to force the factor 6.
+    The multiplier comes from the exact value of P at z = -1, (-1)^(k+l)
+    times the alternating coefficient sum of spectral_poly(k, l): 24 there
+    (both steps odd) combines with even n to force the factor 6.
     """
-    value_at_minus_one = (-1) ** (p.k + p.l) * spectral_poly(p.k, p.l)(-1)
+    coeffs = spectral_poly(p.k, p.l)
+    value_at_minus_one = (-1) ** (p.k + p.l) * (sum(coeffs[0::2]) - sum(coeffs[1::2]))
     if value_at_minus_one not in (4, 24):
         raise InternalInconsistency(
             f"spectral polynomial at -1 must be 4 or 24, got {value_at_minus_one}"

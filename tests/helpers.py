@@ -21,7 +21,6 @@ from math import gcd
 from igraphjac import presentation_matrix, spectral_poly
 from igraphjac.bigmat import IntMatrix, determinant
 from igraphjac.errors import DimensionMismatch, ZeroPolynomial
-from igraphjac.polyring import IntPoly
 
 
 def identity(n):
@@ -32,55 +31,80 @@ def zeros(rows, cols):
     return IntMatrix([[0] * cols for _ in range(rows)])
 
 
+def trim(coeffs):
+    """Ascending int coefficients without trailing zeros; (0,) for zero."""
+    cs = list(coeffs)
+    while len(cs) > 1 and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs) or (0,)
+
+
+def evaluate(poly, x):
+    """poly(x) by Horner's rule, for ascending coefficients."""
+    acc = 0 * x
+    for c in reversed(poly):
+        acc = acc * x + c
+    return acc
+
+
+def deflate(poly, root):
+    """Synthetic division by (x - root); returns (quotient, remainder)."""
+    out = [poly[-1]]
+    for c in reversed(poly[:-1]):
+        out.append(c + root * out[-1])
+    rem = out.pop()
+    return trim(reversed(out)), rem
+
+
 def shifted(poly, m):
     """poly * x**m (m >= 0)."""
     if m < 0:
         raise ValueError("shift must be nonnegative")
-    if poly.is_zero:
+    if poly == (0,):
         return poly
-    return IntPoly((0,) * m + poly.coeffs)
+    return (0,) * m + tuple(poly)
 
 
 def is_bimonic(p):
-    """Degree at least 1 and both extreme coefficients of an IntPoly equal to 1."""
-    return len(p.coeffs) >= 2 and p.coeffs[0] == 1 and p.coeffs[-1] == 1
+    """Degree at least 1 and both extreme coefficients equal to 1."""
+    return len(p) >= 2 and p[0] == 1 and p[-1] == 1
 
 
 def derivative(p):
-    """Formal derivative of an IntPoly."""
-    return IntPoly([i * c for i, c in enumerate(p.coeffs)][1:] or [0])
+    """Formal derivative."""
+    return trim([i * c for i, c in enumerate(p)][1:])
 
 
 def poly_mul(f, g):
-    """Product of two IntPolys by convolving their coefficient lists."""
-    out = [0] * (len(f.coeffs) + len(g.coeffs) - 1)
-    for i, a in enumerate(f.coeffs):
-        for j, b in enumerate(g.coeffs):
+    """Product of two polynomials by convolving their coefficient tuples."""
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
             out[i + j] += a * b
-    return IntPoly(out)
+    return trim(out)
 
 
 def chebyshev_t_poly(n):
     """Coefficients of the degree-n Chebyshev polynomial of the first kind."""
     prev, cur = [1], [0, 1]
     if n == 0:
-        return IntPoly(prev)
+        return tuple(prev)
     for _ in range(n - 1):
         nxt = [0] + [2 * c for c in cur]
         for i, c in enumerate(prev):
             nxt[i] -= c
         prev, cur = cur, nxt
-    return IntPoly(cur)
+    return tuple(cur)
 
 
 def lucas_poly(n):
     """V_n(x) = 2 T_n(x/2), so that V_n(z + 1/z) = z^n + z^-n."""
     coeffs = []
-    for i, c in enumerate(chebyshev_t_poly(n).coeffs):
+    for i, c in enumerate(chebyshev_t_poly(n)):
         v, rem = divmod(2 * c, 2**i)
         assert rem == 0
         coeffs.append(v)
-    return IntPoly(coeffs)
+    return tuple(coeffs)
 
 
 def chebyshev_quotient(k, l):
@@ -89,12 +113,12 @@ def chebyshev_quotient(k, l):
     coefficient 2^(k+l), value -2(k^2 + l^2) at w = 1."""
     factors = []
     for j in (k, l):
-        coeffs = [-2 * c for c in chebyshev_t_poly(j).coeffs]
+        coeffs = [-2 * c for c in chebyshev_t_poly(j)]
         coeffs[0] += 3
-        factors.append(IntPoly(coeffs))
-    full = list(poly_mul(*factors).coeffs)
+        factors.append(tuple(coeffs))
+    full = list(poly_mul(*factors))
     full[0] -= 1
-    quot, rem = IntPoly(full).deflate(1)
+    quot, rem = deflate(full, 1)
     assert rem == 0
     return quot
 
@@ -104,7 +128,7 @@ def spectral_quotient(k, l):
     out, leaving 2(k+l-1) distinct roots in reciprocal pairs."""
     q = spectral_poly(k, l)
     for _ in range(2):
-        q, rem = q.deflate(1)
+        q, rem = deflate(q, 1)
         assert rem == 0
     return q
 
@@ -345,13 +369,13 @@ def mat_pow(m, e):
 
 
 def companion_matrix(p):
-    """Companion matrix of a bimonic IntPoly such as spectral_poly(k, l):
+    """Companion matrix of a bimonic polynomial such as spectral_poly(k, l):
     ones on the superdiagonal, minus the coefficients below."""
     if not is_bimonic(p):
-        raise ValueError(f"extreme coefficients must be 1, got {p.coeffs[0]}, {p.coeffs[-1]}")
-    s = len(p.coeffs) - 1
+        raise ValueError(f"extreme coefficients must be 1, got {p[0]}, {p[-1]}")
+    s = len(p) - 1
     rows = [[int(j == i + 1) for j in range(s)] for i in range(s - 1)]
-    rows.append([-c for c in p.coeffs[:-1]])
+    rows.append([-c for c in p[:-1]])
     return IntMatrix(rows)
 
 
@@ -359,7 +383,7 @@ def all_ones_poly(n):
     """1 + x + ... + x^(n-1); its roots are the nontrivial n-th roots of unity."""
     if not isinstance(n, int) or n < 2:
         raise ValueError("n must be an int >= 2")
-    return IntPoly([1] * n)
+    return (1,) * n
 
 
 def _content(coeffs):
@@ -406,18 +430,18 @@ def _div_coeffs(coeffs, d):
 
 
 def resultant(f, g):
-    """Res(f, g) of two IntPoly values via the subresultant PRS
+    """Res(f, g) of two polynomials via the subresultant PRS
     (Collins/Brown-Traub), in the Sylvester-determinant convention: for
     monic f it is the product of g over the roots of f, and swapping the
     arguments multiplies it by (-1)^(deg f * deg g)."""
-    if f.is_zero or g.is_zero:
+    a, b = list(trim(f)), list(trim(g))
+    if a == [0] or b == [0]:
         raise ZeroPolynomial("resultant of the zero polynomial is undefined")
-    if f.degree == 0:
-        return f.coeffs[0] ** g.degree
-    if g.degree == 0:
-        return g.coeffs[0] ** f.degree
+    if len(a) == 1:
+        return a[0] ** (len(b) - 1)
+    if len(b) == 1:
+        return b[0] ** (len(a) - 1)
     s = 1
-    a, b = list(f.coeffs), list(g.coeffs)
     if len(a) < len(b):
         if (len(a) % 2 == 0) and (len(b) % 2 == 0):  # both degrees odd
             s = -s

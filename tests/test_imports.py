@@ -186,3 +186,13 @@ def test_namespace_is_the_documented_api():
     readme = (ROOT / "README.md").read_text()
     undocumented = [name for name in igraphjac.__all__ if name not in readme]
     assert not undocumented, f"exported but not in README.md: {undocumented}"
+
+
+def test_readme_library_example_runs(capsys):
+    readme = (ROOT / "README.md").read_text()
+    library = readme.split("\n## Library\n", 1)[1]
+    block = library.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(compile(block, "README.md", "exec"), namespace)
+    assert namespace["g"].order == namespace["t"].tau
+    assert "(2114, 52850, 52850, 52850)" in capsys.readouterr().out
