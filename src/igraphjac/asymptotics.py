@@ -75,8 +75,10 @@ GUARD_BITS = 64
 # Most Aberth sweeps the float start may take; trace_poly(40, 41), of degree
 # 80, takes 107
 START_SWEEPS = 160
-# Most nodes mahler_integral's trapezoidal rule may use: about a minute of
-# sinpi calls at a few hundred bits
+# Most nodes mahler_integral's trapezoidal rule may use.  Near the cap its
+# table of |1 - w^m|^2 holds 2^19 + 1 entries of about 220 bytes each at
+# 128 bits; (1,1) run to 2^20 nodes took 8 s and 150 MB of RSS at 128 and
+# 256 bits (2-core Xeon, mpmath's Python backend)
 NODE_CAP = 1 << 20
 
 
@@ -211,16 +213,36 @@ def mahler_constant(k: int, l: int, precision_bits: int = DEFAULT_PRECISION) -> 
     return RealApprox(value, bound)
 
 
-def _node_product(k: int, l: int, n: int, step: int = 1):
+def _halve_angles(q: list) -> list:
+    """The table q[m] = |1 - w^m|^2 for 2n nodes from the one for n nodes, n even.
+
+    Old entries land on the even indices.  For odd m <= n/2 the half-angle
+    formulas put c = 2 + sqrt(q[n/2 - m]) = 4 cos^2(pi m/2n) at n - m and
+    q[m] / c = 4 sin^2(pi m/2n) at m; nothing cancels, so a doubling adds
+    a few ulps of relative error.
+    """
+    h = len(q) - 1
+    out = [None] * (2 * h + 1)
+    out[::2] = q
+    for m in range(1, h + 1, 2):
+        c = 2 + mpmath.sqrt(q[h - m])
+        out[m] = q[m] / c
+        out[2 * h - m] = c
+    return out
+
+
+def _node_product(k: int, l: int, n: int, q: list, step: int = 1):
     """Product of P(w^j) over j = 1, 1 + step, ... below n/2, w = e^(2 pi i/n).
 
     P = spectral_poly(k, l) up to the unit z^(k+l), real on the unit circle,
-    where it is u + v + uv with u = 4 sin^2(pi k j/n), v = 4 sin^2(pi l j/n).
+    where it is u + v + uv with u = 4 sin^2(pi k j/n), v = 4 sin^2(pi l j/n),
+    read from q[m] = |1 - w^m|^2, 0 <= m <= n/2, at kj and lj mod n folded
+    into [0, n/2].
     """
     acc = mp.mpf(1)
     for j in range(1, (n + 1) // 2, step):
-        u = 4 * mpmath.sinpi(mp.mpf(k * j % n) / n) ** 2
-        v = 4 * mpmath.sinpi(mp.mpf(l * j % n) / n) ** 2
+        a, b = k * j % n, l * j % n
+        u, v = q[min(a, n - a)], q[min(b, n - b)]
         acc *= u + v + u * v
     return acc
 
@@ -242,6 +264,12 @@ def mahler_integral(k: int, l: int, precision_bits: int = DEFAULT_PRECISION) -> 
     to N^2, so they are divided out once, not per node; the nodes pair up as
     t and 1 - t, so only j < N/2 is evaluated and the half product squared.
 
+    Nodes read u and v from one table of |1 - w^m|^2 = 4 sin^2(pi m/N),
+    0 <= m <= N/2, that sinpi fills at the first N and _halve_angles
+    refines at each doubling, so a node costs a few multiplications, not two
+    sinpi calls.  It takes about 220 bytes per entry at 128 bits: 4.6 MB for
+    the 41472 nodes of (40, 41).
+
     N starts at 2(k + l), and each doubling evaluates only the new odd
     nodes.  It stops once |T_2N - T_N| <= 2^(-precision_bits/2) and that
     difference has shrunk since the previous doubling; the bound is
@@ -256,9 +284,10 @@ def mahler_integral(k: int, l: int, precision_bits: int = DEFAULT_PRECISION) -> 
         # node t = 0 contributes k^2 + l^2, node t = 1/2 contributes P(-1) / 4
         ends = (k * k + l * l) * (6 if k % 2 and l % 2 else 1)
         n = 2 * (k + l)
+        q = [4 * mpmath.sinpi(mp.mpf(m) / n) ** 2 for m in range(n // 2 + 1)]
         # for even n the s factors over 0 < j < n/2 multiply to n/2, and
         # those of the odd nodes a doubling adds to exactly 2
-        half = _node_product(k, l, n) / (n // 2)
+        half = _node_product(k, l, n, q) / (n // 2)
         prev = mpmath.log(ends * half**2) / n
         tolerance = mp.mpf(2) ** (-(precision_bits // 2))
         last = None
@@ -268,7 +297,8 @@ def mahler_integral(k: int, l: int, precision_bits: int = DEFAULT_PRECISION) -> 
                     f"trapezoidal rule not within {mpmath.nstr(tolerance, 5)} "
                     f"at {n} nodes, and NODE_CAP = {NODE_CAP} allows no doubling"
                 )
-            half *= _node_product(k, l, 2 * n, step=2) / 2
+            q = _halve_angles(q)
+            half *= _node_product(k, l, 2 * n, q, step=2) / 2
             n *= 2
             mean = mpmath.log(ends * half**2) / n
             diff = abs(mean - prev)

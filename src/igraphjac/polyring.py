@@ -115,7 +115,7 @@ def _monic_coeffs(f, n: int) -> tuple[int, ...]:
         raise InvalidParams(f"coefficients must be ints, got {coeffs!r}")
     if len(coeffs) < 2 or coeffs[-1] != 1:
         raise InvalidParams(f"need a monic polynomial of degree >= 1, got {coeffs!r}")
-    if not isinstance(n, int) or n < 0:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise InvalidParams("n must be a nonnegative int")
     return coeffs
 

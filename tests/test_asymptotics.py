@@ -5,7 +5,13 @@ import expected_tables
 import helpers
 import igraphjac.asymptotics
 from igraphjac import mahler_constant, mahler_integral, trace_poly, tree_count_resultant
-from igraphjac.asymptotics import RootSet, _node_product, asymptotic_ratio, poly_roots
+from igraphjac.asymptotics import (
+    RootSet,
+    _halve_angles,
+    _node_product,
+    asymptotic_ratio,
+    poly_roots,
+)
 from igraphjac.errors import (
     ClassificationFailure,
     ConvergenceFailure,
@@ -17,6 +23,11 @@ from igraphjac.igraph import GraphParams, normalize
 
 def sorted_reals(roots):
     return sorted(mpmath.re(z) for z in roots)
+
+
+def chord_table(n):
+    """|1 - w^m|^2 = 4 sin^2(pi m/n) for 0 <= m <= n/2, w = e^(2 pi i/n)."""
+    return [4 * mpmath.sinpi(mpmath.mpf(m) / n) ** 2 for m in range(n // 2 + 1)]
 
 
 def spy_on_polyroots(monkeypatch):
@@ -255,9 +266,45 @@ class TestMahlerIntegral:
             denominators = mpmath.fprod(4 * mpmath.sinpi(mpmath.mpf(j) / n) ** 2 for j in range(1, n))
             assert abs(denominators - n * n) < mpmath.mpf(2) ** -300 * n * n
             middle = (3 - 2 * (-1) ** k) * (3 - 2 * (-1) ** l) - 1 if n % 2 == 0 else 1
-            got = _node_product(k, l, n) ** 2 * middle / (n * n)
+            got = _node_product(k, l, n, chord_table(n)) ** 2 * middle / (n * n)
             want = mpmath.mpf(tree_count_resultant(GraphParams(n, k, l)).tau) / n
             assert abs(got / want - 1) < mpmath.mpf("1e-93")
+
+    @pytest.mark.parametrize("bits", [64, 256])
+    @pytest.mark.parametrize("k,l", [(2, 3), (1, 3)])
+    def test_halved_table_matches_sinpi(self, k, l, bits):
+        # k + l = 5 puts the odd index N/2 on the first doubling, k + l = 4 does not
+        n = 2 * (k + l)
+        with mpmath.workprec(bits + 32):
+            q = chord_table(n)
+            for _ in range(12):
+                q = _halve_angles(q)
+                n *= 2
+        assert len(q) == n // 2 + 1
+        with mpmath.workprec(bits + 64):
+            tol = mpmath.mpf(2) ** -(bits + 16)
+            for m, got in enumerate(q):
+                want = 4 * mpmath.sinpi(mpmath.mpf(m) / n) ** 2
+                assert abs(got - want) <= tol * want, m
+
+    def test_sinpi_only_on_the_first_level(self, monkeypatch):
+        calls = []
+        real = mpmath.sinpi
+
+        def spy(x):
+            calls.append(x)
+            return real(x)
+
+        monkeypatch.setattr(mpmath, "sinpi", spy)
+        mahler_integral(2, 3, precision_bits=128)
+        assert len(calls) == 2 + 3 + 1
+
+    @pytest.mark.parametrize("k,l,bits", [(3, 4, 1024), (1, 2, 2048)])
+    def test_matches_root_product_at_high_precision(self, k, l, bits):
+        a = mahler_constant(k, l, precision_bits=bits)
+        b = mahler_integral(k, l, precision_bits=bits)
+        assert abs(a.value - b.value) <= a.error_bound + b.error_bound
+        assert b.error_bound < a.value * mpmath.mpf(2) ** -(bits // 2 - 8)
 
     def test_node_cap_raises(self, monkeypatch):
         monkeypatch.setattr(igraphjac.asymptotics, "NODE_CAP", 64)

@@ -163,8 +163,9 @@ class TestPresentationMatrix:
             presentation_matrix((1, 2), 3)
         with pytest.raises(InvalidParams):
             presentation_matrix((5,), 3)
-        with pytest.raises(InvalidParams):
-            presentation_matrix((1, 1), -1)
+        for n in (-1, True):
+            with pytest.raises(InvalidParams):
+                presentation_matrix((1, 1), n)
         # the coefficients are taken as given: nothing casts them or trims a zero
         for f in ((1.0, 1), (True, 1), (1, 1, 0)):
             with pytest.raises(InvalidParams):
@@ -224,8 +225,9 @@ class TestLucasMatrix:
             lucas_matrix((1, 2), 3)
         with pytest.raises(InvalidParams):
             lucas_matrix((5,), 3)
-        with pytest.raises(InvalidParams):
-            lucas_matrix((1, 1), -1)
+        for n in (-1, True):
+            with pytest.raises(InvalidParams):
+                lucas_matrix((1, 1), n)
         # the coefficients are taken as given: nothing casts them or trims a zero
         for f in ((1.0, 1), (True, 1), (1, 1, 0)):
             with pytest.raises(InvalidParams):
