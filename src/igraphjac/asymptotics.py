@@ -34,10 +34,11 @@ from mpmath import mp
 from .errors import (
     ClassificationFailure,
     ConvergenceFailure,
+    InvalidParams,
     QuadratureFailure,
     ZeroPolynomial,
 )
-from .polyring import _check_steps, trace_poly
+from .polyring import _check_steps, _int_coeffs, trace_poly
 
 if TYPE_CHECKING:  # pragma: no cover
     from .igraph import GraphParams
@@ -76,10 +77,19 @@ GUARD_BITS = 64
 # 80, takes 107
 START_SWEEPS = 160
 # Most nodes mahler_integral's trapezoidal rule may use.  Near the cap its
-# table of |1 - w^m|^2 holds 2^19 + 1 entries of about 220 bytes each at
-# 128 bits; (1,1) run to 2^20 nodes took 8 s and 150 MB of RSS at 128 and
-# 256 bits (2-core Xeon, mpmath's Python backend)
+# chord table holds 2^19 + 1 ints of about 64 bytes each at 128 bits (80 at
+# 256); (1,1) run to 2^20 nodes took 1.2 s and 74 MB of RSS at 128 bits,
+# 2.3 s and 86 MB at 256 (2-core Xeon, Python 3.11)
 NODE_CAP = 1 << 20
+
+
+def _check_precision(precision_bits: int):
+    if (
+        not isinstance(precision_bits, int)
+        or isinstance(precision_bits, bool)
+        or precision_bits < MIN_PRECISION
+    ):
+        raise InvalidParams(f"precision_bits must be an int of at least {MIN_PRECISION}")
 
 
 def _float_start(coeffs: list[int]) -> list | None:
@@ -127,7 +137,7 @@ def _float_start(coeffs: list[int]) -> list | None:
 
 
 def poly_roots(poly: tuple[int, ...], precision_bits: int = DEFAULT_PRECISION) -> RootSet:
-    """All roots of an integer polynomial, ascending coefficients, with distinct roots.
+    """All roots of an integer polynomial, ascending int coefficients, with distinct roots.
 
     mpmath.polyroots runs Durand-Kerner with a guard of GUARD_BITS plus the
     bit length of the largest coefficient beyond precision_bits, and rounds
@@ -145,10 +155,10 @@ def poly_roots(poly: tuple[int, ...], precision_bits: int = DEFAULT_PRECISION) -
     it near sqrt(eps): it may then raise ConvergenceFailure or land anyway,
     so only distinct roots are promised.
     """
+    poly = _int_coeffs(poly)
     if not any(poly[-1:]):
         raise ZeroPolynomial(f"leading coefficient of {poly!r} is 0")
-    if precision_bits < MIN_PRECISION:
-        raise ValueError(f"precision_bits must be at least {MIN_PRECISION}")
+    _check_precision(precision_bits)
     scale = max(abs(c) for c in poly)
     guard = GUARD_BITS + scale.bit_length()
     zeros = next(i for i, c in enumerate(poly) if c)
@@ -213,38 +223,57 @@ def mahler_constant(k: int, l: int, precision_bits: int = DEFAULT_PRECISION) -> 
     return RealApprox(value, bound)
 
 
-def _halve_angles(q: list) -> list:
-    """The table q[m] = |1 - w^m|^2 for 2n nodes from the one for n nodes, n even.
+def _chord_table(n: int, scale: int) -> list[int]:
+    """floor(4 sin^2(pi m/n) 2^scale) for 0 <= m <= n/2, from sinpi."""
+    with mp.workprec(scale + 16):
+        return [
+            int(mpmath.ldexp(mpmath.sinpi(mp.mpf(m) / n) ** 2, scale + 2))
+            for m in range(n // 2 + 1)
+        ]
 
-    Old entries land on the even indices.  For odd m <= n/2 the half-angle
-    formulas put c = 2 + sqrt(q[n/2 - m]) = 4 cos^2(pi m/2n) at n - m and
-    q[m] / c = 4 sin^2(pi m/2n) at m; nothing cancels, so a doubling adds
-    a few ulps of relative error.
+
+def _halve_angles(q: list[int], scale: int) -> list[int]:
+    """The chord table for 2n nodes at 2^(scale+2) from the one for n nodes at 2^scale, n even.
+
+    Old entries move to the even indices, shifted exactly.  For odd m <= n/2
+    the half-angle formulas put c = 2 + sqrt(q[n/2 - m]) = 4 cos^2(pi m/2n)
+    at n - m and q[m] / c = 4 sin^2(pi m/2n) at m; nothing cancels, so with
+    one floor per isqrt and per division a doubling adds a few ulps of
+    relative error.
     """
     h = len(q) - 1
-    out = [None] * (2 * h + 1)
-    out[::2] = q
+    out = [0] * (2 * h + 1)
+    out[::2] = [x << 2 for x in q]
+    two = 2 << scale
     for m in range(1, h + 1, 2):
-        c = 2 + mpmath.sqrt(q[h - m])
-        out[m] = q[m] / c
-        out[2 * h - m] = c
+        c = two + math.isqrt(q[h - m] << scale)
+        out[m] = (q[m] << (scale + 2)) // c
+        out[2 * h - m] = c << 2
     return out
 
 
-def _node_product(k: int, l: int, n: int, q: list, step: int = 1):
-    """Product of P(w^j) over j = 1, 1 + step, ... below n/2, w = e^(2 pi i/n).
+def _node_product(k: int, l: int, n: int, q: list[int], scale: int, acc=(1, 0), step: int = 1):
+    """acc times the product of P(w^j) over j = 1, 1 + step, ... below n/2, w = e^(2 pi i/n).
 
     P = spectral_poly(k, l) up to the unit z^(k+l), real on the unit circle,
     where it is u + v + uv with u = 4 sin^2(pi k j/n), v = 4 sin^2(pi l j/n),
-    read from q[m] = |1 - w^m|^2, 0 <= m <= n/2, at kj and lj mod n folded
-    into [0, n/2].
+    read from the chord table q at 2^scale at kj and lj mod n folded into
+    [0, n/2].  ((u + v) << scale) + uv is then P 2^(2 scale) exactly.  acc
+    and the result are pairs (man, exp) standing for man 2^exp; after each
+    node man is cut back to scale + 8 bits, which adds under 2^-(scale+7) of
+    relative error.
     """
-    acc = mp.mpf(1)
-    for j in range(1, (n + 1) // 2, step):
+    man, exp = acc
+    keep = scale + 8
+    nodes = range(1, (n + 1) // 2, step)
+    for j in nodes:
         a, b = k * j % n, l * j % n
         u, v = q[min(a, n - a)], q[min(b, n - b)]
-        acc *= u + v + u * v
-    return acc
+        man *= ((u + v) << scale) + u * v
+        shift = man.bit_length() - keep
+        man >>= shift
+        exp += shift
+    return man, exp - 2 * scale * len(nodes)
 
 
 def mahler_integral(k: int, l: int, precision_bits: int = DEFAULT_PRECISION) -> RealApprox:
@@ -264,31 +293,41 @@ def mahler_integral(k: int, l: int, precision_bits: int = DEFAULT_PRECISION) -> 
     to N^2, so they are divided out once, not per node; the nodes pair up as
     t and 1 - t, so only j < N/2 is evaluated and the half product squared.
 
-    Nodes read u and v from one table of |1 - w^m|^2 = 4 sin^2(pi m/N),
-    0 <= m <= N/2, that sinpi fills at the first N and _halve_angles
-    refines at each doubling, so a node costs a few multiplications, not two
-    sinpi calls.  It takes about 220 bytes per entry at 128 bits: 4.6 MB for
-    the 41472 nodes of (40, 41).
+    The nodes run on Python ints in fixed point.  They read u and v from one
+    table of floor(4 sin^2(pi m/N) 2^W), 0 <= m <= N/2, with
+    W = precision_bits + 32 + 2 bit_length(N).  sinpi fills the table at
+    the first N and _halve_angles refines it at each doubling, so a node
+    costs three int multiplications, and the table takes about 60 bytes per
+    entry at 128 bits: 1.2 MB for the 41472 nodes of (40, 41).
+
+    Error accounting: each floor costs at most 1 ulp at 2^W, which the
+    2 bit_length(N) term keeps under 2^-(precision_bits+32) of even the
+    smallest chord, about (2 pi/N)^2.  A doubling adds a few such ulps to an
+    entry, relative to itself, and a node cancels nothing, since u, v and
+    uv are positive.  Cutting the product back to W + 8 bits costs under
+    2^-(W+7) per node, so the product of at most NODE_CAP/2 nodes stays
+    within 2^-(precision_bits+12) of the exact one, relative.  It becomes
+    an mpf once per level, for the log.
 
     N starts at 2(k + l), and each doubling evaluates only the new odd
     nodes.  It stops once |T_2N - T_N| <= 2^(-precision_bits/2) and that
     difference has shrunk since the previous doubling; the bound is
     value * (100 |T_2N - T_N| + 2^(-(precision_bits - 8))).  A rule that
-    would need more than NODE_CAP nodes raises QuadratureFailure.  Works at
-    precision_bits + 32 and shares nothing with the root product.
+    would need more than NODE_CAP nodes raises QuadratureFailure.  The log
+    and exp work at precision_bits + 32, and nothing is shared with the
+    root product.
     """
     _check_steps(k, l)
-    if precision_bits < MIN_PRECISION:
-        raise ValueError(f"precision_bits must be at least {MIN_PRECISION}")
+    _check_precision(precision_bits)
+    n = 2 * (k + l)
+    scale = precision_bits + 32 + 2 * n.bit_length()
+    q = _chord_table(n, scale)
+    acc = _node_product(k, l, n, q, scale)
     with mp.workprec(precision_bits + 32):
-        # node t = 0 contributes k^2 + l^2, node t = 1/2 contributes P(-1) / 4
+        # node t = 0 contributes k^2 + l^2, node t = 1/2 contributes P(-1) / 4;
+        # for even n the s factors over 0 < j < n/2 multiply to n/2
         ends = (k * k + l * l) * (6 if k % 2 and l % 2 else 1)
-        n = 2 * (k + l)
-        q = [4 * mpmath.sinpi(mp.mpf(m) / n) ** 2 for m in range(n // 2 + 1)]
-        # for even n the s factors over 0 < j < n/2 multiply to n/2, and
-        # those of the odd nodes a doubling adds to exactly 2
-        half = _node_product(k, l, n, q) / (n // 2)
-        prev = mpmath.log(ends * half**2) / n
+        prev = mpmath.log(ends * (mp.mpf(acc) / (n // 2)) ** 2) / n
         tolerance = mp.mpf(2) ** (-(precision_bits // 2))
         last = None
         while True:
@@ -297,10 +336,11 @@ def mahler_integral(k: int, l: int, precision_bits: int = DEFAULT_PRECISION) -> 
                     f"trapezoidal rule not within {mpmath.nstr(tolerance, 5)} "
                     f"at {n} nodes, and NODE_CAP = {NODE_CAP} allows no doubling"
                 )
-            q = _halve_angles(q)
-            half *= _node_product(k, l, 2 * n, q, step=2) / 2
+            q = _halve_angles(q, scale)
+            scale += 2
             n *= 2
-            mean = mpmath.log(ends * half**2) / n
+            acc = _node_product(k, l, n, q, scale, acc, step=2)
+            mean = mpmath.log(ends * (mp.mpf(acc) / (n // 2)) ** 2) / n
             diff = abs(mean - prev)
             if diff <= tolerance and last is not None and diff < last:
                 break

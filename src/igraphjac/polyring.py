@@ -108,11 +108,17 @@ def _mul(a: list[int], b: list[int], f: tuple[int, ...]) -> list[int]:
     return out[:s]
 
 
-def _monic_coeffs(f, n: int) -> tuple[int, ...]:
-    """The ascending int coefficients f, once f is monic of degree >= 1 and n >= 0."""
+def _int_coeffs(f) -> tuple[int, ...]:
+    """The coefficients f as a tuple, once each is an int and not a bool."""
     coeffs = tuple(f)
     if any(not isinstance(c, int) or isinstance(c, bool) for c in coeffs):
         raise InvalidParams(f"coefficients must be ints, got {coeffs!r}")
+    return coeffs
+
+
+def _monic_coeffs(f, n: int) -> tuple[int, ...]:
+    """The ascending int coefficients f, once f is monic of degree >= 1 and n >= 0."""
+    coeffs = _int_coeffs(f)
     if len(coeffs) < 2 or coeffs[-1] != 1:
         raise InvalidParams(f"need a monic polynomial of degree >= 1, got {coeffs!r}")
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:

@@ -10,13 +10,17 @@ the Chebyshev values come from three-term recurrences, and the Chebyshev
 quotient in w = x/2 is built by polynomial products where trace_poly needs
 none.  The one exception is tree_count_q_ring, the former large-n count:
 it runs the package's ring kernel over Z[z]/(Q), Q = P/(z - 1)^2, twice the
-size of the Z[x]/(R) the package now uses.  Slow is fine; these only
-certify.  sixfold_rule_report is the diagnostic that tallies square
+size of the Z[x]/(R) the package now uses.  mahler_integral_mpf is the
+Mahler integral's trapezoidal rule with its chord table and node product
+in mpmath floats, where the package runs them on scaled ints.  Slow is
+fine; these only certify.  sixfold_rule_report is the diagnostic that tallies square
 decompositions by parity.
 """
 
 from fractions import Fraction
 from math import gcd
+
+import mpmath
 
 from igraphjac import presentation_matrix, spectral_poly
 from igraphjac.bigmat import IntMatrix, determinant
@@ -161,6 +165,60 @@ def chebyshev_u(n, x):
     for _ in range(n - 1):
         prev, cur = cur, 2 * x * cur - prev
     return cur
+
+
+def chord_table_mpf(n):
+    """|1 - w^m|^2 = 4 sin^2(pi m/n) for 0 <= m <= n/2, w = e^(2 pi i/n)."""
+    return [4 * mpmath.sinpi(mpmath.mpf(m) / n) ** 2 for m in range(n // 2 + 1)]
+
+
+def halve_angles_mpf(q):
+    """The chord table for 2n nodes from the one for n nodes, n even, in mpf."""
+    h = len(q) - 1
+    out = [None] * (2 * h + 1)
+    out[::2] = q
+    for m in range(1, h + 1, 2):
+        c = 2 + mpmath.sqrt(q[h - m])
+        out[m] = q[m] / c
+        out[2 * h - m] = c
+    return out
+
+
+def node_product_mpf(k, l, n, q, step=1):
+    """Product of u + v + uv over j = 1, 1 + step, ... below n/2, from the mpf table q."""
+    acc = mpmath.mpf(1)
+    for j in range(1, (n + 1) // 2, step):
+        a, b = k * j % n, l * j % n
+        u, v = q[min(a, n - a)], q[min(b, n - b)]
+        acc *= u + v + u * v
+    return acc
+
+
+def mahler_integral_mpf(k, l, precision_bits):
+    """(value, bound) of mahler_integral's rule with its table and nodes in mpf.
+
+    Same nodes, stopping rule and bound as the package, all at
+    precision_bits + 32; no node cap.
+    """
+    with mpmath.workprec(precision_bits + 32):
+        ends = (k * k + l * l) * (6 if k % 2 and l % 2 else 1)
+        n = 2 * (k + l)
+        q = chord_table_mpf(n)
+        half = node_product_mpf(k, l, n, q) / (n // 2)
+        prev = mpmath.log(ends * half**2) / n
+        tolerance = mpmath.mpf(2) ** (-(precision_bits // 2))
+        last = None
+        while True:
+            q = halve_angles_mpf(q)
+            half *= node_product_mpf(k, l, 2 * n, q, step=2) / 2
+            n *= 2
+            mean = mpmath.log(ends * half**2) / n
+            diff = abs(mean - prev)
+            if diff <= tolerance and last is not None and diff < last:
+                break
+            prev, last = mean, diff
+        value = mpmath.exp(mean)
+        return value, value * (100 * diff + mpmath.mpf(2) ** (-(precision_bits - 8)))
 
 
 def igraph_edge_list(n, k, l):

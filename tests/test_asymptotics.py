@@ -7,6 +7,7 @@ import igraphjac.asymptotics
 from igraphjac import mahler_constant, mahler_integral, trace_poly, tree_count_resultant
 from igraphjac.asymptotics import (
     RootSet,
+    _chord_table,
     _halve_angles,
     _node_product,
     asymptotic_ratio,
@@ -15,6 +16,7 @@ from igraphjac.asymptotics import (
 from igraphjac.errors import (
     ClassificationFailure,
     ConvergenceFailure,
+    InvalidParams,
     QuadratureFailure,
     ZeroPolynomial,
 )
@@ -23,11 +25,6 @@ from igraphjac.igraph import GraphParams, normalize
 
 def sorted_reals(roots):
     return sorted(mpmath.re(z) for z in roots)
-
-
-def chord_table(n):
-    """|1 - w^m|^2 = 4 sin^2(pi m/n) for 0 <= m <= n/2, w = e^(2 pi i/n)."""
-    return [4 * mpmath.sinpi(mpmath.mpf(m) / n) ** 2 for m in range(n // 2 + 1)]
 
 
 def spy_on_polyroots(monkeypatch):
@@ -54,6 +51,16 @@ class TestPolyRoots:
     def test_rejects_tiny_precision(self):
         with pytest.raises(ValueError):
             poly_roots((1, 1), precision_bits=16)
+
+    @pytest.mark.parametrize("bits", [64.5, "64", True, None])
+    def test_rejects_non_int_precision(self, bits):
+        with pytest.raises(InvalidParams):
+            poly_roots((1, 1), precision_bits=bits)
+
+    @pytest.mark.parametrize("poly", [(1.0, 2.0, 1.0), (True, 1), (1, False, 1), ("1", 1)])
+    def test_rejects_non_int_coefficients(self, poly):
+        with pytest.raises(InvalidParams, match="coefficients must be ints"):
+            poly_roots(poly, precision_bits=64)
 
     def test_integer_roots(self):
         # (z - 1)(z - 2)(z - 3)
@@ -173,6 +180,11 @@ class TestMahlerConstant:
         assert a.error_bound > 0
         assert a.error_bound < mpmath.mpf("1e-50")
 
+    @pytest.mark.parametrize("bits", [64.5, "64", True, 16])
+    def test_rejects_bad_precision(self, bits):
+        with pytest.raises(InvalidParams):
+            mahler_constant(1, 2, precision_bits=bits)
+
     def test_value_range(self):
         # growth constants of cubic graph families stay below 3 + 2 = 5.2
         for k, l in [(1, 1), (2, 3), (3, 4)]:
@@ -257,6 +269,25 @@ class TestMahlerIntegral:
         with pytest.raises(ValueError):
             mahler_integral(1, 2, precision_bits=16)
 
+    @pytest.mark.parametrize("bits", [64.5, "64", True])
+    def test_rejects_non_int_precision(self, bits):
+        with pytest.raises(InvalidParams):
+            mahler_integral(1, 2, precision_bits=bits)
+
+    @pytest.mark.parametrize(
+        "cells,bits",
+        [(sorted(expected_tables.GROWTH_4DP), bits) for bits in (32, 64, 128, 256)]
+        + [([(1, 2)], 2048)],
+    )
+    def test_int_kernel_matches_mpf_oracle(self, cells, bits):
+        # the bounds agreeing this closely means both rules stopped at the same N
+        for k, l in cells:
+            got = mahler_integral(k, l, precision_bits=bits)
+            value, bound = helpers.mahler_integral_mpf(k, l, bits)
+            with mpmath.workprec(bits + 64):
+                assert abs(got.value / value - 1) <= mpmath.mpf(2) ** -(bits + 8), (k, l)
+                assert abs(got.error_bound / bound - 1) <= mpmath.mpf(2) ** -20, (k, l)
+
     @pytest.mark.parametrize("n,k,l", [(11, 2, 3), (40, 3, 4), (17, 1, 2)])
     def test_node_product_is_tree_count(self, n, k, l):
         # prod_{0<j<n} P(w^j) / |1 - w^j|^2 = tau(I(n, k, l)) / n, and the
@@ -266,7 +297,8 @@ class TestMahlerIntegral:
             denominators = mpmath.fprod(4 * mpmath.sinpi(mpmath.mpf(j) / n) ** 2 for j in range(1, n))
             assert abs(denominators - n * n) < mpmath.mpf(2) ** -300 * n * n
             middle = (3 - 2 * (-1) ** k) * (3 - 2 * (-1) ** l) - 1 if n % 2 == 0 else 1
-            got = _node_product(k, l, n, chord_table(n)) ** 2 * middle / (n * n)
+            man, exp = _node_product(k, l, n, _chord_table(n, 340), 340)
+            got = mpmath.mpf((man, exp)) ** 2 * middle / (n * n)
             want = mpmath.mpf(tree_count_resultant(GraphParams(n, k, l)).tau) / n
             assert abs(got / want - 1) < mpmath.mpf("1e-93")
 
@@ -274,16 +306,19 @@ class TestMahlerIntegral:
     @pytest.mark.parametrize("k,l", [(2, 3), (1, 3)])
     def test_halved_table_matches_sinpi(self, k, l, bits):
         # k + l = 5 puts the odd index N/2 on the first doubling, k + l = 4 does not
+        # the scale mahler_integral gives the table
         n = 2 * (k + l)
-        with mpmath.workprec(bits + 32):
-            q = chord_table(n)
-            for _ in range(12):
-                q = _halve_angles(q)
-                n *= 2
+        w = bits + 32 + 2 * n.bit_length()
+        q = _chord_table(n, w)
+        for _ in range(12):
+            q = _halve_angles(q, w)
+            w += 2
+            n *= 2
         assert len(q) == n // 2 + 1
         with mpmath.workprec(bits + 64):
             tol = mpmath.mpf(2) ** -(bits + 16)
-            for m, got in enumerate(q):
+            for m, entry in enumerate(q):
+                got = mpmath.mpf((entry, -w))
                 want = 4 * mpmath.sinpi(mpmath.mpf(m) / n) ** 2
                 assert abs(got - want) <= tol * want, m
 

@@ -279,6 +279,25 @@ class TestAsymptoticCommand:
         assert code == EXIT_OK
         assert rec["agree"] is True
 
+    @pytest.mark.parametrize(
+        "k,l,bits,line",
+        [
+            (1, 1, 96, '{"k": 1, "l": 1, "precision_bits": 96, "constant": "3.7320508075688772935274463", "constant_error_bound": "1.2059e-26", "integral": "3.7320508075688773", "integral_error_bound": "1.1628e-17", "agree": true}'),
+            (1, 2, 64, '{"k": 1, "l": 2, "precision_bits": 64, "constant": "4.390256884515514", "constant_error_bound": "6.0927e-17", "integral": "4.3902569", "integral_error_bound": "1.5345e-8", "agree": true}'),
+            (1, 2, 128, '{"k": 1, "l": 2, "precision_bits": 128, "constant": "4.39025688451551360466360009793798007", "constant_error_bound": "3.3029e-36", "integral": "4.3902568845155136", "integral_error_bound": "6.4365e-18", "agree": true}'),
+            (1, 2, 208, '{"k": 1, "l": 2, "precision_bits": 208, "constant": "4.39025688451551360466360009793798006863952482817475390974634", "constant_error_bound": "2.7321e-60", "integral": "4.39025688451551360466360009793798007", "integral_error_bound": "2.2647e-36", "agree": true}'),
+            (2, 3, 64, '{"k": 2, "l": 3, "precision_bits": 64, "constant": "4.841992943028164", "constant_error_bound": "6.7196e-17", "integral": "4.84199294", "integral_error_bound": "8.7882e-10", "agree": true}'),
+            (2, 3, 128, '{"k": 2, "l": 3, "precision_bits": 128, "constant": "4.84199294302816391024021354567408772", "constant_error_bound": "3.6427e-36", "integral": "4.84199294302816391", "integral_error_bound": "1.7483e-19", "agree": true}'),
+            (5, 6, 64, '{"k": 5, "l": 6, "precision_bits": 64, "constant": "5.120150620086312", "constant_error_bound": "7.1056e-17", "integral": "5.12015062", "integral_error_bound": "3.1914e-10", "agree": true}'),
+        ],
+    )
+    def test_growth_grid_records_are_pinned(self, capsys, k, l, bits, line):
+        # the benchmark's growth-grid cells, byte for byte as the mpf
+        # quadrature kernel printed them
+        argv = ["asymptotic", "--k", str(k), "--l", str(l), "--precision", str(bits), "--json"]
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr().out == line + "\n"
+
     def test_integral_digits_follow_precision(self, capsys):
         # the integral's bound follows --precision: 32 bits justify a few digits
         code, (rec,) = run_json_lines(
