@@ -18,8 +18,11 @@ from .errors import DisconnectedError, InvalidParams, LoopError
 DEGREE = 3
 # Largest n for the dense n x n circulant S, a bound on memory (22 MB at
 # n = 400), not on time.  At n = 400 with small steps its Smith form takes
-# 0.05-0.15 s and its minor determinant 1.8-2.5 s, but wider steps have a
-# heavy tail over Z: I(130,7,9) takes over 15 s and I(135,7,9) 0.05 s.
+# 0.05-0.15 s and its minor determinant 0.06-0.27 s (k + l <= 9), but both
+# grow with the steps.  The determinant skips rows outside the band, which
+# reaches k + l either side of the diagonal: 0.8 s at (7,9), 4 s at (20,21)
+# and 20 s at (150,151), where fill-in makes the minor dense.  The Smith form has a heavy tail
+# over Z: I(130,7,9) takes over 15 s and I(135,7,9) 0.05 s.
 DENSE_CEILING = 400
 
 

@@ -37,6 +37,13 @@ from .igraph import GraphParams, circulant_matrix
 from .polyring import lucas_matrix, spectral_poly, trace_poly
 
 ROUNDING_GUARD = 0.25
+# Largest count magnitude, in bits above precision_bits, that rounding may
+# accept.  The roots from poly_roots hold about precision_bits + 50 bits, so
+# a count within ~12 bits of that has noise near its units digit that still
+# lands within ROUNDING_GUARD of some integer about half the time: on a grid
+# of k <= 5, l <= 7, n < 260 at 64-256 bits, 41 of 4284 counts were wrong,
+# all with bit lengths in [bits + 48, bits + 64), none at or below bits + 48.
+COUNT_HEADROOM_BITS = 40
 
 
 @dataclass(frozen=True)
@@ -92,9 +99,10 @@ def _quotient_roots(k: int, l: int, precision_bits: int):
 def tree_count_chebyshev(p: GraphParams, precision_bits: int = DEFAULT_PRECISION) -> TreeCount:
     """Floating-point count from the Chebyshev closed formula, then rounded.
 
-    Rounding is only accepted when the computed value sits within
-    ROUNDING_GUARD of an integer (and its imaginary part is just as small);
-    otherwise PrecisionExhausted asks the caller for more bits.
+    Rounding is only accepted when the value has at most precision_bits +
+    COUNT_HEADROOM_BITS bits and sits within ROUNDING_GUARD of an integer
+    (and its imaginary part is just as small); otherwise PrecisionExhausted
+    asks the caller for more bits.
     """
     roots = _quotient_roots(p.k, p.l, precision_bits)
     with mp.workprec(precision_bits + 64):
@@ -107,9 +115,9 @@ def tree_count_chebyshev(p: GraphParams, precision_bits: int = DEFAULT_PRECISION
         signed = _sign(p) * p.n * acc
         value = mp.re(signed)
         distance = max(abs(value - mpmath.nint(value)), abs(mp.im(signed)))
-        # once the unit in the last place reaches 1 every float is an
-        # integer and the distance test below stops meaning anything
-        if value != 0 and mpmath.mag(value) > mp.prec - 4:
+        # past COUNT_HEADROOM_BITS the root error reaches the units digit
+        # and the distance test below stops meaning anything
+        if value != 0 and mpmath.mag(value) > precision_bits + COUNT_HEADROOM_BITS:
             raise PrecisionExhausted(
                 f"count magnitude 2^{mpmath.mag(value)} leaves no headroom "
                 f"at {precision_bits} bits; increase precision_bits"

@@ -4,7 +4,9 @@ Everything here deliberately avoids the package's own exact kernels: the
 2n x 2n Laplacian is built row by row and from the edge list, determinants
 run over Fractions, tree counts come from deletion and contraction or from a
 plain Gaussian Kirchhoff minor, and resultants are Sylvester determinants or
-the subresultant PRS.  The companion matrix and its powers present
+the subresultant PRS.  determinant_bareiss is plain Bareiss elimination,
+which rescales every row at every step where the package's determinant
+skips rows whose lead is 0.  The companion matrix and its powers present
 Z[z]/(f, z^n - 1) the way the ring kernel's square-and-multiply does not;
 the Chebyshev values come from three-term recurrences, and the Chebyshev
 quotient in w = x/2 is built by polynomial products where trace_poly needs
@@ -290,6 +292,35 @@ def det_fractions(rows):
                 for j in range(c, m):
                     a[r][j] -= f * a[c][j]
     return det
+
+
+def determinant_bareiss(rows):
+    """Plain Bareiss fraction-free elimination: every row below the pivot is
+    rescaled at every step, whatever its lead, so O(n^3) integer operations
+    however sparse the matrix."""
+    a = [list(row) for row in rows]
+    n = len(a)
+    sign = 1
+    prev = 1
+    for t in range(n - 1):
+        if a[t][t] == 0:
+            for i in range(t + 1, n):
+                if a[i][t]:
+                    a[t], a[i] = a[i], a[t]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        piv = a[t][t]
+        rt = a[t]
+        for i in range(t + 1, n):
+            ri = a[i]
+            lead = ri[t]
+            for j in range(t + 1, n):
+                ri[j] = (ri[j] * piv - lead * rt[j]) // prev
+            ri[t] = 0
+        prev = piv
+    return sign * a[n - 1][n - 1]
 
 
 def rank_fractions(rows):

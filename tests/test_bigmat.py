@@ -6,6 +6,7 @@ import pytest
 import helpers
 from igraphjac.bigmat import IntMatrix, determinant, smith_normal_form
 from igraphjac.errors import DimensionMismatch
+from igraphjac.igraph import GraphParams, circulant_matrix
 from helpers import mat_mul, mat_pow
 
 try:
@@ -107,6 +108,41 @@ class TestDeterminant:
     def test_requires_square(self):
         with pytest.raises(DimensionMismatch):
             determinant(IntMatrix([[1, 2, 3], [4, 5, 6]]))
+
+    def test_lagging_row_swapped_in_for_a_zero_pivot(self):
+        # step 0 zeroes row 1's pivot entry and skips row 2 (lead 0), so the
+        # row swapped in at step 1 is a step behind and must bring its lag
+        rows = [[3, 0, -1, 0], [-1, 0, 0, 1], [0, 1, 1, 0], [1, 1, -1, 0]]
+        assert determinant(IntMatrix(rows)) == helpers.det_fractions(rows) == -5
+
+    def test_sparse_and_banded_against_fraction_elimination(self):
+        rng = random.Random(103)
+        for trial in range(300):
+            size = rng.randint(1, 25)
+            if trial % 2:
+                # banded with wrap-around corners, like a minor of igraph's S;
+                # without offset 0 every diagonal entry starts as a zero pivot
+                offsets = rng.sample(range(size), min(size, rng.randint(1, 4)))
+                rows = [[rng.randint(-5, 5) if (j - i) % size in offsets else 0
+                         for j in range(size)] for i in range(size)]
+            else:
+                density = rng.choice((0.1, 0.25, 0.5))
+                rows = [[rng.randint(-9, 9) if rng.random() < density else 0
+                         for _ in range(size)] for _ in range(size)]
+            if size > 1 and trial % 5 == 0:
+                # singular: one row a multiple of another
+                i, j = rng.sample(range(size), 2)
+                rows[i] = [rng.randint(-3, 3) * x for x in rows[j]]
+            expected = helpers.det_fractions(rows)
+            assert expected.denominator == 1
+            assert determinant(IntMatrix(rows)) == int(expected)
+
+    @pytest.mark.parametrize("k,l", [(1, 2), (2, 3), (3, 4), (2, 5), (4, 5), (5, 7), (7, 9)])
+    def test_circulant_minors_against_bareiss(self, k, l):
+        for n in range(l + 1, 70):
+            s = circulant_matrix(GraphParams(n, k, l)).to_lists()
+            minor = [row[1:] for row in s[1:]]
+            assert determinant(IntMatrix(minor)) == helpers.determinant_bareiss(minor)
 
 
 def random_unimodular(rng, size, steps=12):

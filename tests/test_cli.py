@@ -1,9 +1,10 @@
 import json
 import os
 
+import mpmath
 import pytest
 
-from igraphjac import DENSE_CEILING, cli, jacobian_via_laplacian, tree_count_kirchhoff
+from igraphjac import DENSE_CEILING, cli, treecount, jacobian_via_laplacian, tree_count_kirchhoff
 from igraphjac.errors import InternalInconsistency
 from igraphjac.igraph import GraphParams
 from igraphjac.jacobian import AbelianGroup
@@ -151,13 +152,20 @@ class TestTreesCommand:
         assert code == EXIT_PRECISION
         assert rec["error"] == "PrecisionExhausted"
 
-    def test_precision_record_names_the_rounding_guard(self, capsys):
-        # the detail states the test that failed, not root-noise digits
-        argv = ["trees", "--n", "136", "--k", "2", "--l", "3", "--method", "chebyshev", "--json"]
+    def test_precision_record_names_the_rounding_guard(self, capsys, monkeypatch):
+        # the detail states the test that failed, not root-noise digits; roots
+        # moved 2^-40 off the real axis give the count an imaginary part far
+        # above the guard while its magnitude keeps plenty of headroom
+        roots = treecount._quotient_roots
+        monkeypatch.setattr(
+            treecount, "_quotient_roots",
+            lambda k, l, bits: [x + mpmath.mpc(0, 2**-40) for x in roots(k, l, bits)],
+        )
+        argv = ["trees", "--n", "60", "--k", "2", "--l", "3", "--method", "chebyshev", "--json"]
         code, (rec,) = run_json_lines(capsys, argv)
         assert code == EXIT_PRECISION
         assert rec == {
-            "params": {"n": 136, "k": 2, "l": 3},
+            "params": {"n": 60, "k": 2, "l": 3},
             "error": "PrecisionExhausted",
             "detail": f"count is not within {ROUNDING_GUARD} of an integer at 256 bits; "
                       "increase precision_bits",

@@ -16,6 +16,7 @@ from igraphjac import (
 from igraphjac.bigmat import IntMatrix, determinant
 from igraphjac.errors import PrecisionExhausted
 from igraphjac.igraph import GraphParams
+from igraphjac.treecount import COUNT_HEADROOM_BITS
 
 ALL_METHODS = (tree_count_kirchhoff, tree_count_resultant, tree_count_chebyshev)
 
@@ -86,6 +87,29 @@ def test_chebyshev_needs_enough_bits():
     p = GraphParams(45, 2, 3)
     with pytest.raises(PrecisionExhausted):
         tree_count_chebyshev(p, precision_bits=32)
+
+
+@pytest.mark.parametrize("bits", [64, 128])
+@pytest.mark.parametrize("k,l", [(1, 2), (1, 3), (2, 3), (2, 5)])
+def test_chebyshev_refuses_counts_past_its_headroom(k, l, bits):
+    # the roots hold about bits + 50 bits, so a count a few bits short of
+    # that can round to a wrong integer (I(55,1,2) at 64 bits); every count
+    # in the band around the headroom must be right or refused
+    checked = 0
+    for n in range(l + 1, 1000):
+        p = GraphParams(n, k, l)
+        tau = tree_count_resultant(p).tau
+        if tau.bit_length() > bits + 72:
+            break
+        if tau.bit_length() < bits + 24:
+            continue
+        checked += 1
+        try:
+            assert tree_count_chebyshev(p, precision_bits=bits).tau == tau
+        except PrecisionExhausted:
+            # only for want of headroom, not from a miss of the rounding guard
+            assert tau.bit_length() >= bits + COUNT_HEADROOM_BITS
+    assert checked >= 10
 
 
 def test_chebyshev_roots_r_once_per_key(monkeypatch):
