@@ -36,13 +36,11 @@ from .errors import (
     ConvergenceFailure,
     InvalidParams,
     QuadratureFailure,
-    ZeroPolynomial,
 )
 from .polyring import _check_steps, _int_coeffs, trace_poly
 
 if TYPE_CHECKING:  # pragma: no cover
     from .igraph import GraphParams
-    from .treecount import TreeCount
 
 DEFAULT_PRECISION = 256
 MIN_PRECISION = 32
@@ -149,15 +147,16 @@ def poly_roots(poly: tuple[int, ...], precision_bits: int = DEFAULT_PRECISION) -
     exactly 0, as does the imaginary part of a real root.  The iteration
     starts from _float_start's float roots, which cut its sweeps several
     times over, or from polyroots' own start where there are none; the
-    start changes neither its tolerance nor its sweep cap.
-    ConvergenceFailure means the iteration did not settle within its sweep
-    cap.  A repeated root (spectral_poly's double root at z = 1, say) stalls
-    it near sqrt(eps): it may then raise ConvergenceFailure or land anyway,
-    so only distinct roots are promised.
+    start changes neither its tolerance nor its sweep cap.  A zero leading
+    coefficient raises InvalidParams, and ConvergenceFailure means the
+    iteration did not settle within its sweep cap.  A repeated root
+    (spectral_poly's double root at z = 1, say) stalls it near sqrt(eps): it
+    may then raise ConvergenceFailure or land anyway, so only distinct roots
+    are promised.
     """
     poly = _int_coeffs(poly)
     if not any(poly[-1:]):
-        raise ZeroPolynomial(f"leading coefficient of {poly!r} is 0")
+        raise InvalidParams(f"leading coefficient of {poly!r} is 0")
     _check_precision(precision_bits)
     scale = max(abs(c) for c in poly)
     guard = GUARD_BITS + scale.bit_length()
@@ -350,15 +349,16 @@ def mahler_integral(k: int, l: int, precision_bits: int = DEFAULT_PRECISION) -> 
     return RealApprox(value, bound)
 
 
-def asymptotic_ratio(p: "GraphParams", t: "TreeCount", approx: RealApprox) -> RealApprox:
-    """tau * (k^2 + l^2) / (n * A^n), which tends to 1 as n grows."""
+def asymptotic_ratio(p: "GraphParams", tau: int, approx: RealApprox) -> RealApprox:
+    """tau * (k^2 + l^2) / (n * A^n) for the tree count tau of p and A =
+    approx; it tends to 1 as n grows."""
     with mp.workprec(64):
         # enough bits to place A^n and tau, plus slack for the quotient
         magnitude = int(mpmath.ceil(p.n * mpmath.log(mp.mpf(approx.value), 2))) + 1
     bits = max(192, magnitude + 96)
     with mp.workprec(bits):
         a = mp.mpf(approx.value)
-        ratio = mp.mpf(t.tau) * (p.k**2 + p.l**2) / (p.n * a**p.n)
+        ratio = mp.mpf(tau) * (p.k**2 + p.l**2) / (p.n * a**p.n)
         rel = p.n * (mp.mpf(approx.error_bound) / a)
         bound = abs(ratio) * (rel * mp.mpf("1.01") + mp.mpf(2) ** (-(bits // 2)))
     return RealApprox(ratio, bound)

@@ -14,52 +14,39 @@ from __future__ import annotations
 
 from math import gcd, lcm
 
-from .errors import DimensionMismatch
+from .errors import InvalidParams
 
 
 class IntMatrix:
-    """Dense row-major matrix of Python ints.  Treat instances as immutable."""
+    """Dense row-major matrix of Python ints, validated once and read through
+    rows, cols and to_lists().
+
+    InvalidParams refuses a matrix with no entries, ragged rows, or an entry
+    that is not an int or is a bool.
+    """
 
     __slots__ = ("rows", "cols", "_data")
 
     def __init__(self, data):
         rows = [list(r) for r in data]
         if not rows or not rows[0]:
-            raise DimensionMismatch("matrix needs at least one row and one column")
+            raise InvalidParams("matrix needs at least one row and one column")
         width = len(rows[0])
+        kinds = set()
         for r in rows:
             if len(r) != width:
-                raise DimensionMismatch("ragged rows")
-            for x in r:
-                if not isinstance(x, int):
-                    raise TypeError(f"entries must be int, got {type(x).__name__}")
+                raise InvalidParams("ragged rows")
+            kinds.update(map(type, r))
+        bad = sorted(t.__name__ for t in kinds if not issubclass(t, int) or issubclass(t, bool))
+        if bad:
+            raise InvalidParams(f"entries must be ints, got {', '.join(bad)}")
         self._data = rows
         self.rows = len(rows)
         self.cols = width
 
-    def __getitem__(self, ij):
-        i, j = ij
-        return self._data[i][j]
-
     def to_lists(self) -> list[list[int]]:
         """Mutable deep copy of the entries."""
         return [row[:] for row in self._data]
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, IntMatrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self._data == other._data
-        )
-
-    def __hash__(self):
-        return hash(tuple(tuple(r) for r in self._data))
-
-    def __repr__(self):
-        if self.rows * self.cols <= 36:
-            return f"IntMatrix({self._data!r})"
-        return f"IntMatrix(<{self.rows}x{self.cols}>)"
 
 
 def determinant(m: IntMatrix) -> int:
@@ -79,7 +66,7 @@ def determinant(m: IntMatrix) -> int:
     width w; on a dense matrix every row stays current and this is Bareiss.
     """
     if m.rows != m.cols:
-        raise DimensionMismatch("determinant needs a square matrix")
+        raise InvalidParams("determinant needs a square matrix")
     a = m.to_lists()
     n = m.rows
     den = [1] * n

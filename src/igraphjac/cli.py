@@ -142,14 +142,14 @@ def _jacobian_summary(p, group) -> tuple[dict, str]:
     }, text
 
 
-def _trees_summary(p, count) -> tuple[dict, str]:
-    dec = decompose(count, p)
-    checks = {"divisible_by_n": count.tau % p.n == 0, "cube_bound": count.tau >= p.n**3}
+def _trees_summary(p, tau) -> tuple[dict, str]:
+    dec = decompose(tau, p)
+    checks = {"divisible_by_n": tau % p.n == 0, "cube_bound": tau >= p.n**3}
     text = (
-        f"{p}  tau={count.tau} = {dec.multiplier}*{p.n}*{dec.a}^2"
+        f"{p}  tau={tau} = {dec.multiplier}*{p.n}*{dec.a}^2"
         f"  div_n={checks['divisible_by_n']}  cube={checks['cube_bound']}"
     )
-    fields = {"tau": str(count.tau), "a": str(dec.a), "multiplier": dec.multiplier}
+    fields = {"tau": str(tau), "a": str(dec.a), "multiplier": dec.multiplier}
     return {**fields, "checks": checks}, text
 
 
@@ -235,11 +235,11 @@ def cmd_asymptotic(args) -> int:
         f"routes agree within bounds: {agree}",
     ]
     if p is not None:
-        count = tree_count_resultant(p)
-        ratio = asymptotic_ratio(p, count, root)
+        tau = tree_count_resultant(p)
+        ratio = asymptotic_ratio(p, tau, root)
         rec["ratio_at"] = {
             "n": p.n,
-            "tau": str(count.tau),
+            "tau": str(tau),
             "ratio": mpmath.nstr(ratio.value, 20),
             "error_bound": mpmath.nstr(ratio.error_bound, 5),
         }

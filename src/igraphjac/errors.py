@@ -4,7 +4,11 @@ from __future__ import annotations
 
 
 class InvalidParams(ValueError):
-    """A parameter is outside the domain of the requested operation."""
+    """An argument is outside the domain of the requested operation.
+
+    Bad graph parameters, precisions and coefficients, and matrices that are
+    empty, ragged, non-integer or of the wrong shape all raise it.
+    """
 
 
 class LoopError(InvalidParams):
@@ -21,14 +25,6 @@ class DisconnectedError(InvalidParams):
     def __init__(self, m: int, message: str | None = None):
         self.m = m
         super().__init__(message or f"graph is disconnected ({m} components)")
-
-
-class DimensionMismatch(ValueError):
-    """Matrix shapes are incompatible with the requested operation."""
-
-
-class ZeroPolynomial(ValueError):
-    """The zero polynomial was supplied where a nonzero one is required."""
 
 
 class InternalInconsistency(ArithmeticError):

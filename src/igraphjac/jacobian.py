@@ -84,9 +84,8 @@ def jacobian_via_companion(p: GraphParams) -> AbelianGroup:
     compares the two rings.
     """
     m = presentation_matrix(spectral_poly(p.k, p.l), p.n)
-    count = tree_count_resultant(p)
-    tau = count.tau
-    dec = decompose(count, p)
+    tau = tree_count_resultant(p)
+    dec = decompose(tau, p)
     for modulus in (dec.multiplier * p.n * dec.a, tau):
         *torsion, last = smith_normal_form(m, modulus=modulus)
         if last == modulus and prod(torsion) == tau:

@@ -1,4 +1,5 @@
-"""Spanning tree counts of I-graphs by three routes, plus the square split.
+"""Spanning tree counts tau of I-graphs by three routes, each a plain int,
+plus the square split.
 
 kirchhoff  - determinant of a principal minor of igraph's n x n circulant S,
              whose (n-1)-minors, like the Laplacian's, all equal tau
@@ -47,11 +48,6 @@ COUNT_HEADROOM_BITS = 40
 
 
 @dataclass(frozen=True)
-class TreeCount:
-    tau: int
-
-
-@dataclass(frozen=True)
 class Decomposition:
     """tau = multiplier * n * a**2."""
 
@@ -63,18 +59,18 @@ def _sign(p: GraphParams) -> int:
     return -1 if ((p.n - 1) * (p.k + p.l)) % 2 else 1
 
 
-def tree_count_kirchhoff(p: GraphParams) -> TreeCount:
-    """Spanning trees as the determinant of the circulant S with row and
-    column 0 deleted; raises InvalidParams above igraph.DENSE_CEILING."""
+def tree_count_kirchhoff(p: GraphParams) -> int:
+    """tau as the determinant of the circulant S with row and column 0
+    deleted; raises InvalidParams above igraph.DENSE_CEILING."""
     minor = IntMatrix([row[1:] for row in circulant_matrix(p).to_lists()[1:]])
     det = determinant(minor)
     if det <= 0:
         raise InternalInconsistency(f"matrix-tree minor determinant {det} is not positive")
-    return TreeCount(det)
+    return det
 
 
-def tree_count_resultant(p: GraphParams) -> TreeCount:
-    """Exact count from R = trace_poly(k, l) in x = z + 1/z.
+def tree_count_resultant(p: GraphParams) -> int:
+    """Exact tau from R = trace_poly(k, l) in x = z + 1/z.
 
     n tau is the product of P = (x - 2) R(x) over the nontrivial n-th roots
     of unity, which is n^2 Res(R, V_n - 2) / R(2) up to sign, with
@@ -87,7 +83,7 @@ def tree_count_resultant(p: GraphParams) -> TreeCount:
             f"n * |Res(R, V_n - 2)| = {p.n * abs(res)} is not a positive "
             f"multiple of k^2 + l^2 = {p.k * p.k + p.l * p.l}"
         )
-    return TreeCount(tau)
+    return tau
 
 
 # perfbench/worker.py reads cache_info() by this name, so the old "quotient" name stays
@@ -96,8 +92,8 @@ def _quotient_roots(k: int, l: int, precision_bits: int):
     return poly_roots(trace_poly(k, l), precision_bits).roots
 
 
-def tree_count_chebyshev(p: GraphParams, precision_bits: int = DEFAULT_PRECISION) -> TreeCount:
-    """Floating-point count from the Chebyshev closed formula, then rounded.
+def tree_count_chebyshev(p: GraphParams, precision_bits: int = DEFAULT_PRECISION) -> int:
+    """tau from the Chebyshev closed formula in floating point, rounded to an int.
 
     Rounding is only accepted when the value has at most precision_bits +
     COUNT_HEADROOM_BITS bits and sits within ROUNDING_GUARD of an integer
@@ -130,11 +126,11 @@ def tree_count_chebyshev(p: GraphParams, precision_bits: int = DEFAULT_PRECISION
         tau = int(mpmath.nint(value))
     if tau <= 0:
         raise PrecisionExhausted(f"rounded count {tau} is not positive")
-    return TreeCount(tau)
+    return tau
 
 
-def decompose(t: TreeCount, p: GraphParams) -> Decomposition:
-    """Split tau as multiplier * n * a^2 with an exactness guarantee.
+def decompose(tau: int, p: GraphParams) -> Decomposition:
+    """Split the tree count tau of p as multiplier * n * a^2, exactly.
 
     The multiplier comes from the exact value of P at z = -1, (-1)^(k+l)
     times the alternating coefficient sum of spectral_poly(k, l): 24 there
@@ -147,10 +143,10 @@ def decompose(t: TreeCount, p: GraphParams) -> Decomposition:
             f"spectral polynomial at -1 must be 4 or 24, got {value_at_minus_one}"
         )
     multiplier = 6 if (p.n % 2 == 0 and value_at_minus_one == 24) else 1
-    base, rem = divmod(t.tau, multiplier * p.n)
+    base, rem = divmod(tau, multiplier * p.n)
     if rem:
         raise NotASquare(
-            f"tau={t.tau} is not divisible by multiplier*n = {multiplier * p.n}"
+            f"tau={tau} is not divisible by multiplier*n = {multiplier * p.n}"
         )
     a = isqrt(base)
     if a * a != base:

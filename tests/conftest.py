@@ -21,7 +21,7 @@ from igraphjac import (
 from igraphjac.errors import LoopError
 from igraphjac.igraph import GraphParams
 from igraphjac.jacobian import AbelianGroup
-from igraphjac.treecount import Decomposition, TreeCount
+from igraphjac.treecount import Decomposition
 
 GRID_PAIRS = ((1, 1), (1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (2, 3), (2, 5), (3, 4))
 GRID_N = range(3, 41)
@@ -33,9 +33,9 @@ class GridInstance:
     params: GraphParams
     via_laplacian: AbelianGroup
     via_companion: AbelianGroup
-    kirchhoff: TreeCount
-    resultant: TreeCount
-    chebyshev: TreeCount
+    kirchhoff: int
+    resultant: int
+    chebyshev: int
     decomposition: Decomposition
 
 
@@ -53,7 +53,7 @@ def grid_parameters():
 def oracle_grid():
     instances = []
     for raw, p in grid_parameters():
-        count = tree_count_resultant(p)
+        tau = tree_count_resultant(p)
         instances.append(
             GridInstance(
                 raw=raw,
@@ -61,9 +61,9 @@ def oracle_grid():
                 via_laplacian=jacobian_via_laplacian(p),
                 via_companion=jacobian_via_companion(p),
                 kirchhoff=tree_count_kirchhoff(p),
-                resultant=count,
+                resultant=tau,
                 chebyshev=tree_count_chebyshev(p),
-                decomposition=decompose(count, p),
+                decomposition=decompose(tau, p),
             )
         )
     return instances

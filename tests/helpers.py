@@ -26,7 +26,7 @@ import mpmath
 
 from igraphjac import presentation_matrix, spectral_poly
 from igraphjac.bigmat import IntMatrix, determinant
-from igraphjac.errors import DimensionMismatch, ZeroPolynomial
+from igraphjac.errors import InvalidParams
 
 
 def identity(n):
@@ -434,7 +434,7 @@ def sylvester_resultant(f, g):
 def mat_mul(a, b):
     """Exact product of two IntMatrix values."""
     if a.cols != b.rows:
-        raise DimensionMismatch(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
+        raise InvalidParams(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
     bl = b.to_lists()
     return IntMatrix(
         [[sum(x * bl[t][j] for t, x in enumerate(row)) for j in range(b.cols)] for row in a.to_lists()]
@@ -444,7 +444,7 @@ def mat_mul(a, b):
 def mat_pow(m, e):
     """m**e by repeated squaring, e >= 0."""
     if m.rows != m.cols:
-        raise DimensionMismatch("only square matrices can be powered")
+        raise InvalidParams("only square matrices can be powered")
     if e < 0:
         raise ValueError("exponent must be nonnegative")
     result = identity(m.rows)
@@ -525,7 +525,7 @@ def resultant(f, g):
     arguments multiplies it by (-1)^(deg f * deg g)."""
     a, b = list(trim(f)), list(trim(g))
     if a == [0] or b == [0]:
-        raise ZeroPolynomial("resultant of the zero polynomial is undefined")
+        raise InvalidParams("resultant of the zero polynomial is undefined")
     if len(a) == 1:
         return a[0] ** (len(b) - 1)
     if len(b) == 1:

@@ -18,7 +18,6 @@ from igraphjac.errors import (
     ConvergenceFailure,
     InvalidParams,
     QuadratureFailure,
-    ZeroPolynomial,
 )
 from igraphjac.igraph import GraphParams, normalize
 
@@ -42,10 +41,10 @@ def spy_on_polyroots(monkeypatch):
 
 class TestPolyRoots:
     def test_rejects_zero(self):
-        with pytest.raises(ZeroPolynomial):
+        with pytest.raises(InvalidParams):
             poly_roots((0,))
         # a zero leading coefficient is refused, not trimmed
-        with pytest.raises(ZeroPolynomial):
+        with pytest.raises(InvalidParams):
             poly_roots((1, 2, 0))
 
     def test_rejects_tiny_precision(self):
@@ -299,7 +298,7 @@ class TestMahlerIntegral:
             middle = (3 - 2 * (-1) ** k) * (3 - 2 * (-1) ** l) - 1 if n % 2 == 0 else 1
             man, exp = _node_product(k, l, n, _chord_table(n, 340), 340)
             got = mpmath.mpf((man, exp)) ** 2 * middle / (n * n)
-            want = mpmath.mpf(tree_count_resultant(GraphParams(n, k, l)).tau) / n
+            want = mpmath.mpf(tree_count_resultant(GraphParams(n, k, l))) / n
             assert abs(got / want - 1) < mpmath.mpf("1e-93")
 
     @pytest.mark.parametrize("bits", [64, 256])

@@ -5,7 +5,7 @@ import pytest
 
 import helpers
 from igraphjac.bigmat import IntMatrix, determinant, smith_normal_form
-from igraphjac.errors import DimensionMismatch
+from igraphjac.errors import InvalidParams
 from igraphjac.igraph import GraphParams, circulant_matrix
 from helpers import mat_mul, mat_pow
 
@@ -22,27 +22,27 @@ def random_matrix(rng, rows, cols, bound=9):
 
 class TestIntMatrix:
     def test_rejects_ragged_rows(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidParams):
             IntMatrix([[1, 2], [3]])
 
+    def test_rejects_empty(self):
+        for data in ([], [[]]):
+            with pytest.raises(InvalidParams):
+                IntMatrix(data)
+
     def test_rejects_non_int_entries(self):
-        with pytest.raises(TypeError):
+        with pytest.raises(InvalidParams):
             IntMatrix([[1.0, 2], [3, 4]])
+
+    def test_rejects_bool_entries(self):
+        with pytest.raises(InvalidParams, match="bool"):
+            IntMatrix([[True, False], [False, True]])
+        with pytest.raises(InvalidParams, match="bool"):
+            IntMatrix([[1, 0], [0, True]])
 
     def test_identity_and_zeros(self):
         assert helpers.identity(2).to_lists() == [[1, 0], [0, 1]]
         assert helpers.zeros(2, 3).to_lists() == [[0, 0, 0], [0, 0, 0]]
-
-    def test_indexing(self):
-        m = IntMatrix([[1, 2], [3, 4]])
-        assert m[0, 1] == 2
-        assert m[1, 0] == 3
-
-    def test_equality_and_hash(self):
-        a = IntMatrix([[1, 2], [3, 4]])
-        b = IntMatrix([[1, 2], [3, 4]])
-        assert a == b
-        assert hash(a) == hash(b)
 
 
 class TestArithmetic:
@@ -52,28 +52,28 @@ class TestArithmetic:
         assert mat_mul(a, b).to_lists() == [[2, 1], [4, 3]]
 
     def test_mul_dimension_check(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(InvalidParams):
             mat_mul(IntMatrix([[1, 2]]), IntMatrix([[1, 2]]))
 
     def test_identity_is_neutral(self):
         rng = random.Random(7)
         m = random_matrix(rng, 4, 4)
-        assert mat_mul(m, helpers.identity(4)) == m
-        assert mat_mul(helpers.identity(4), m) == m
+        assert mat_mul(m, helpers.identity(4)).to_lists() == m.to_lists()
+        assert mat_mul(helpers.identity(4), m).to_lists() == m.to_lists()
 
     def test_associativity(self):
         rng = random.Random(11)
         a = random_matrix(rng, 3, 4)
         b = random_matrix(rng, 4, 2)
         c = random_matrix(rng, 2, 5)
-        assert mat_mul(mat_mul(a, b), c) == mat_mul(a, mat_mul(b, c))
+        assert mat_mul(mat_mul(a, b), c).to_lists() == mat_mul(a, mat_mul(b, c)).to_lists()
 
     def test_pow_matches_repeated_mul(self):
         rng = random.Random(13)
         m = random_matrix(rng, 3, 3, bound=3)
         acc = helpers.identity(3)
         for e in range(6):
-            assert mat_pow(m, e) == acc
+            assert mat_pow(m, e).to_lists() == acc.to_lists()
             acc = mat_mul(acc, m)
 
     def test_pow_rejects_negative(self):
@@ -106,7 +106,7 @@ class TestDeterminant:
         assert determinant(mat_mul(a, b)) == determinant(a) * determinant(b)
 
     def test_requires_square(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(InvalidParams):
             determinant(IntMatrix([[1, 2, 3], [4, 5, 6]]))
 
     def test_lagging_row_swapped_in_for_a_zero_pivot(self):

@@ -194,5 +194,5 @@ def test_readme_library_example_runs(capsys):
     block = library.split("```python\n", 1)[1].split("```", 1)[0]
     namespace = {}
     exec(compile(block, "README.md", "exec"), namespace)
-    assert namespace["g"].order == namespace["t"].tau
+    assert namespace["g"].order == namespace["t"]
     assert "(2114, 52850, 52850, 52850)" in capsys.readouterr().out

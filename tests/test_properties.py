@@ -60,8 +60,8 @@ def test_jacobian_routes_agree(raw):
 @given(SMALL_GRAPHS)
 def test_tree_counts_agree(raw):
     p = _graph(raw)
-    tau = tree_count_resultant(p).tau
-    assert tau == tree_count_kirchhoff(p).tau
+    tau = tree_count_resultant(p)
+    assert tau == tree_count_kirchhoff(p)
     if networkx is not None:
         graph = networkx.MultiGraph(helpers.igraph_edge_list(p.n, p.k, p.l))
         assert math.isclose(networkx.number_of_spanning_trees(graph), tau, rel_tol=1e-9)
