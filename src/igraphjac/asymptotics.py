@@ -36,8 +36,10 @@ from .errors import (
     ConvergenceFailure,
     InvalidParams,
     QuadratureFailure,
+    check_int,
+    check_steps,
 )
-from .polyring import _check_steps, _int_coeffs, trace_poly
+from .polyring import int_coeffs, trace_poly
 
 if TYPE_CHECKING:  # pragma: no cover
     from .igraph import GraphParams
@@ -79,15 +81,6 @@ START_SWEEPS = 160
 # 256); (1,1) run to 2^20 nodes took 1.2 s and 74 MB of RSS at 128 bits,
 # 2.3 s and 86 MB at 256 (2-core Xeon, Python 3.11)
 NODE_CAP = 1 << 20
-
-
-def _check_precision(precision_bits: int):
-    if (
-        not isinstance(precision_bits, int)
-        or isinstance(precision_bits, bool)
-        or precision_bits < MIN_PRECISION
-    ):
-        raise InvalidParams(f"precision_bits must be an int of at least {MIN_PRECISION}")
 
 
 def _float_start(coeffs: list[int]) -> list | None:
@@ -154,10 +147,10 @@ def poly_roots(poly: tuple[int, ...], precision_bits: int = DEFAULT_PRECISION) -
     may then raise ConvergenceFailure or land anyway, so only distinct roots
     are promised.
     """
-    poly = _int_coeffs(poly)
+    poly = int_coeffs(poly)
     if not any(poly[-1:]):
         raise InvalidParams(f"leading coefficient of {poly!r} is 0")
-    _check_precision(precision_bits)
+    check_int("precision_bits", precision_bits, MIN_PRECISION)
     scale = max(abs(c) for c in poly)
     guard = GUARD_BITS + scale.bit_length()
     zeros = next(i for i, c in enumerate(poly) if c)
@@ -316,8 +309,8 @@ def mahler_integral(k: int, l: int, precision_bits: int = DEFAULT_PRECISION) -> 
     and exp work at precision_bits + 32, and nothing is shared with the
     root product.
     """
-    _check_steps(k, l)
-    _check_precision(precision_bits)
+    check_steps(k, l)
+    check_int("precision_bits", precision_bits, MIN_PRECISION)
     n = 2 * (k + l)
     scale = precision_bits + 32 + 2 * n.bit_length()
     q = _chord_table(n, scale)

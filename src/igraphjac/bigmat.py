@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from math import gcd, lcm
 
-from .errors import InvalidParams
+from .errors import InvalidParams, check_int
 
 
 class IntMatrix:
@@ -233,8 +233,7 @@ def smith_normal_form(m: IntMatrix, modulus: int = 0) -> tuple[int, ...]:
     Modulo D, gcd(., D) commutes with that pass, so each factor is still
     gcd(d_i, D).
     """
-    if modulus < 0:
-        raise ValueError("modulus must be nonnegative")
+    check_int("modulus", modulus, 0)
     a = m.to_lists()
     nr, nc = m.rows, m.cols
     if modulus:

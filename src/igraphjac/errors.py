@@ -1,6 +1,8 @@
-"""Shared exception types for the igraphjac package."""
+"""Shared exception types for the igraphjac package, and the two argument checks."""
 
 from __future__ import annotations
+
+from math import gcd
 
 
 class InvalidParams(ValueError):
@@ -22,9 +24,25 @@ class DisconnectedError(InvalidParams):
     the exception.
     """
 
-    def __init__(self, m: int, message: str | None = None):
+    def __init__(self, m: int):
         self.m = m
-        super().__init__(message or f"graph is disconnected ({m} components)")
+        super().__init__(f"graph is disconnected ({m} components)")
+
+
+def check_int(name: str, value, least: int | None = None):
+    """Raise InvalidParams unless value is an int, not a bool, and (given least) at least least."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise InvalidParams(f"{name} must be an int, got {value!r}")
+    if least is not None and value < least:
+        raise InvalidParams(f"{name} must be at least {least}, got {value}")
+
+
+def check_steps(k: int, l: int):
+    """Raise InvalidParams unless the steps k and l are coprime positive ints."""
+    check_int("k", k, 1)
+    check_int("l", l, 1)
+    if gcd(k, l) != 1:
+        raise InvalidParams(f"steps must be coprime, got k={k}, l={l}")
 
 
 class InternalInconsistency(ArithmeticError):

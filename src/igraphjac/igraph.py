@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .bigmat import IntMatrix
-from .errors import DisconnectedError, InvalidParams, LoopError
+from .errors import DisconnectedError, InvalidParams, LoopError, check_int, check_steps
 
 DEGREE = 3
 # Largest n for the dense n x n circulant S, a bound on memory (22 MB at
@@ -40,18 +40,12 @@ class GraphParams:
     l: int
 
     def __post_init__(self):
-        for name in ("n", "k", "l"):
-            v = getattr(self, name)
-            if not isinstance(v, int) or isinstance(v, bool):
-                raise InvalidParams(f"{name} must be an int")
-        if self.n < 3:
-            raise InvalidParams(f"n must be at least 3, got {self.n}")
-        if not (1 <= self.k <= self.l <= self.n - 1):
+        check_int("n", self.n, 3)
+        check_steps(self.k, self.l)
+        if not self.k <= self.l <= self.n - 1:
             raise InvalidParams(
                 f"need 1 <= k <= l <= n-1, got k={self.k}, l={self.l}, n={self.n}"
             )
-        if gcd(self.k, self.l) != 1:
-            raise InvalidParams(f"k and l must be coprime, got {self.k}, {self.l}")
 
     def __str__(self):
         return f"I({self.n},{self.k},{self.l})"
@@ -65,11 +59,9 @@ def normalize(n: int, k: int, l: int) -> GraphParams:
     steps is divided out (the graph is unchanged up to isomorphism), and the
     steps are swapped into k <= l order.
     """
-    for name, v in (("n", n), ("k", k), ("l", l)):
-        if not isinstance(v, int) or isinstance(v, bool):
-            raise InvalidParams(f"{name} must be an int")
-    if n < 3:
-        raise InvalidParams(f"n must be at least 3, got {n}")
+    check_int("n", n, 3)
+    check_int("k", k)
+    check_int("l", l)
     k0 = k % n
     l0 = l % n
     if k0 == 0 or l0 == 0:

@@ -33,7 +33,11 @@ LAPLACIAN_GATE = 60
 
 @dataclass(frozen=True)
 class AbelianGroup:
-    """Finitely generated abelian group in invariant-factor form."""
+    """Finitely generated abelian group in invariant-factor form.
+
+    The routes build it from their own Smith forms, so factors that break the
+    invariant-factor form are a fault upstream: InternalInconsistency.
+    """
 
     torsion: tuple[int, ...]
     free_rank: int
@@ -41,12 +45,12 @@ class AbelianGroup:
     def __post_init__(self):
         for d in self.torsion:
             if d < 2:
-                raise ValueError("torsion factors must be > 1")
+                raise InternalInconsistency("torsion factors must be > 1")
         for a, b in zip(self.torsion, self.torsion[1:]):
             if b % a:
-                raise ValueError("torsion factors must form a divisibility chain")
+                raise InternalInconsistency("torsion factors must form a divisibility chain")
         if self.free_rank < 0:
-            raise ValueError("free rank must be nonnegative")
+            raise InternalInconsistency("free rank must be nonnegative")
 
     @property
     def order(self) -> int:

@@ -20,18 +20,8 @@ tree count and the growth constant) take the roots of R.
 
 from __future__ import annotations
 
-from math import gcd
-
 from .bigmat import IntMatrix
-from .errors import InternalInconsistency, InvalidParams
-
-
-def _check_steps(k: int, l: int):
-    for name, v in (("k", k), ("l", l)):
-        if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-            raise InvalidParams(f"{name} must be a positive int")
-    if gcd(k, l) != 1:
-        raise InvalidParams(f"steps must be coprime, got k={k}, l={l}")
+from .errors import InternalInconsistency, InvalidParams, check_int, check_steps
 
 
 def spectral_poly(k: int, l: int) -> tuple[int, ...]:
@@ -42,7 +32,7 @@ def spectral_poly(k: int, l: int) -> tuple[int, ...]:
     palindromic of degree 2(k+l), has a double root at z = 1, and its second
     derivative there is -2(k^2 + l^2).
     """
-    _check_steps(k, l)
+    check_steps(k, l)
     coeffs = [0] * (2 * (k + l) + 1)
     for e1, c1 in ((0, -1), (k, 3), (2 * k, -1)):
         for e2, c2 in ((0, -1), (l, 3), (2 * l, -1)):
@@ -59,7 +49,7 @@ def trace_poly(k: int, l: int) -> tuple[int, ...]:
     (x - 2) R(x).  V_k V_l = V_(k+l) + V_|k-l| gives R without a polynomial
     product.  R is monic of degree k+l-1 and R(2) = -(k^2 + l^2).
     """
-    _check_steps(k, l)
+    check_steps(k, l)
     lucas = [[2], [0, 1]]
     for _ in range(k + l - 1):
         nxt = [0] + lucas[-1]
@@ -108,7 +98,7 @@ def _mul(a: list[int], b: list[int], f: tuple[int, ...]) -> list[int]:
     return out[:s]
 
 
-def _int_coeffs(f) -> tuple[int, ...]:
+def int_coeffs(f) -> tuple[int, ...]:
     """The coefficients f as a tuple, once each is an int and not a bool."""
     coeffs = tuple(f)
     if any(not isinstance(c, int) or isinstance(c, bool) for c in coeffs):
@@ -118,11 +108,10 @@ def _int_coeffs(f) -> tuple[int, ...]:
 
 def _monic_coeffs(f, n: int) -> tuple[int, ...]:
     """The ascending int coefficients f, once f is monic of degree >= 1 and n >= 0."""
-    coeffs = _int_coeffs(f)
+    coeffs = int_coeffs(f)
     if len(coeffs) < 2 or coeffs[-1] != 1:
         raise InvalidParams(f"need a monic polynomial of degree >= 1, got {coeffs!r}")
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise InvalidParams("n must be a nonnegative int")
+    check_int("n", n, 0)
     return coeffs
 
 

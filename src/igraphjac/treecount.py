@@ -35,7 +35,7 @@ from .asymptotics import DEFAULT_PRECISION, poly_roots
 from .bigmat import IntMatrix, determinant
 from .errors import InternalInconsistency, NotASquare, PrecisionExhausted
 from .igraph import GraphParams, circulant_matrix
-from .polyring import lucas_matrix, spectral_poly, trace_poly
+from .polyring import lucas_matrix, trace_poly
 
 ROUNDING_GUARD = 0.25
 # Largest count magnitude, in bits above precision_bits, that rounding may
@@ -132,17 +132,11 @@ def tree_count_chebyshev(p: GraphParams, precision_bits: int = DEFAULT_PRECISION
 def decompose(tau: int, p: GraphParams) -> Decomposition:
     """Split the tree count tau of p as multiplier * n * a^2, exactly.
 
-    The multiplier comes from the exact value of P at z = -1, (-1)^(k+l)
-    times the alternating coefficient sum of spectral_poly(k, l): 24 there
-    (both steps odd) combines with even n to force the factor 6.
+    The multiplier comes from P(-1) = (3 - 2(-1)^k)(3 - 2(-1)^l) - 1, which
+    is 24 when both steps are odd and 4 otherwise (coprime steps are never
+    both even): 24 combines with even n to force the factor 6.
     """
-    coeffs = spectral_poly(p.k, p.l)
-    value_at_minus_one = (-1) ** (p.k + p.l) * (sum(coeffs[0::2]) - sum(coeffs[1::2]))
-    if value_at_minus_one not in (4, 24):
-        raise InternalInconsistency(
-            f"spectral polynomial at -1 must be 4 or 24, got {value_at_minus_one}"
-        )
-    multiplier = 6 if (p.n % 2 == 0 and value_at_minus_one == 24) else 1
+    multiplier = 6 if p.n % 2 == 0 and p.k % 2 and p.l % 2 else 1
     base, rem = divmod(tau, multiplier * p.n)
     if rem:
         raise NotASquare(

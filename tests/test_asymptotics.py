@@ -48,7 +48,7 @@ class TestPolyRoots:
             poly_roots((1, 2, 0))
 
     def test_rejects_tiny_precision(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidParams):
             poly_roots((1, 1), precision_bits=16)
 
     @pytest.mark.parametrize("bits", [64.5, "64", True, None])
@@ -265,10 +265,10 @@ class TestMahlerIntegral:
         assert bounds[0] > bounds[1] * 2**40 > bounds[2] * 2**80
 
     def test_rejects_tiny_precision(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidParams):
             mahler_integral(1, 2, precision_bits=16)
 
-    @pytest.mark.parametrize("bits", [64.5, "64", True])
+    @pytest.mark.parametrize("bits", [64.5, "64", True, None])
     def test_rejects_non_int_precision(self, bits):
         with pytest.raises(InvalidParams):
             mahler_integral(1, 2, precision_bits=bits)

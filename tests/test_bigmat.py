@@ -179,8 +179,14 @@ class TestSmithNormalForm:
         assert smith_normal_form(helpers.zeros(2, 3), modulus=5) == (5, 5)
 
     def test_rejects_negative_modulus(self):
-        with pytest.raises(ValueError):
-            smith_normal_form(helpers.identity(2), modulus=-3)
+        for modulus in (-3, -1):
+            with pytest.raises(InvalidParams):
+                smith_normal_form(helpers.identity(2), modulus=modulus)
+
+    @pytest.mark.parametrize("modulus", [True, 5.0, "5"])
+    def test_rejects_non_int_modulus(self, modulus):
+        with pytest.raises(InvalidParams):
+            smith_normal_form(helpers.identity(2), modulus=modulus)
 
     def test_rectangular_shapes(self):
         factors = smith_normal_form(IntMatrix([[2, 4, 4], [-6, 6, 12]]))

@@ -4,6 +4,7 @@ import os
 import mpmath
 import pytest
 
+import igraphjac.jacobian
 from igraphjac import DENSE_CEILING, cli, treecount, jacobian_via_laplacian, tree_count_kirchhoff
 from igraphjac.errors import InternalInconsistency
 from igraphjac.igraph import GraphParams
@@ -100,6 +101,18 @@ class TestJacobianCommand:
         assert "error" not in rec
         assert rec["torsion"] == [str(d) for d in torsion]
         assert rec["checks"] == {"rank_lower": failed != "rank_lower", "rank_upper": failed != "rank_upper"}
+
+    def test_broken_invariant_factor_chain_gives_error_records(self, capsys, monkeypatch):
+        # 4 does not divide 6: the group refuses the factors and the sweep goes on
+        monkeypatch.setattr(igraphjac.jacobian, "smith_normal_form", lambda m: (1, 4, 6, 0))
+        code, records = run_json_lines(
+            capsys, ["jacobian", "--n", "5..7", "--k", "1", "--l", "2", "--method", "laplacian", "--json"]
+        )
+        assert code == EXIT_INCONSISTENT
+        assert [rec["params"]["n"] for rec in records] == [5, 6, 7]
+        for rec in records:
+            assert rec["error"] == "InternalInconsistency"
+            assert "divisibility chain" in rec["detail"]
 
     def test_text_mode(self, capsys):
         code = main(["jacobian", "--n", "5", "--k", "1", "--l", "2"])
@@ -491,6 +504,13 @@ class TestErrorsAndUsage:
         # n below 3 is rejected during normalization, not argparse
         code = main(["asymptotic", "--k", "0", "--l", "2"])
         assert code == EXIT_USAGE
+
+    def test_zero_step_names_its_bound(self, capsys):
+        code = main(["asymptotic", "--k", "0", "--l", "1"])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert captured.out == ""
+        assert captured.err == "invalid parameters: k must be at least 1, got 0\n"
 
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as info:

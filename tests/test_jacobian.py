@@ -29,15 +29,15 @@ class TestAbelianGroup:
         assert g.rank == 0
 
     def test_rejects_factor_one(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InternalInconsistency):
             AbelianGroup((1, 2), 0)
 
     def test_rejects_broken_chain(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InternalInconsistency):
             AbelianGroup((4, 6), 0)
 
     def test_rejects_negative_free_rank(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InternalInconsistency):
             AbelianGroup((2,), -1)
 
 

@@ -1,3 +1,5 @@
+from math import gcd
+
 import pytest
 
 import helpers
@@ -165,6 +167,20 @@ class TestDecompose:
             p = GraphParams(n, k, l)
             d = decompose(tree_count_resultant(p), p)
             assert d.multiplier == 1
+
+    def test_multiplier_matches_spectral_poly_at_minus_one(self):
+        # oracle: P(-1), read off spectral_poly's alternating coefficient sum,
+        # is 24 exactly where the multiplier is 6 on even n
+        for l in range(1, 12):
+            for k in range(1, min(l, 12 - l) + 1):
+                if gcd(k, l) != 1:
+                    continue
+                coeffs = spectral_poly(k, l)
+                at_minus_one = (-1) ** (k + l) * (sum(coeffs[0::2]) - sum(coeffs[1::2]))
+                for n in range(max(3, l + 1), 31):
+                    p = GraphParams(n, k, l)
+                    six = n % 2 == 0 and at_minus_one == 24
+                    assert decompose(tree_count_resultant(p), p).multiplier == (6 if six else 1), p
 
     def test_reconstruction(self):
         for n, k, l in KNOWN_COUNTS:
