@@ -12,12 +12,13 @@ trapezoidal rule: by Jensen's formula dividing P by |1 - z|^2 leaves the
 mean unchanged and removes the zero at z = 1, so the rule converges
 geometrically, and its N-node product is (k^2 + l^2) tau(I(N, k, l)) / N.
 
-Roots come from mpmath.polyroots, a Durand-Kerner iteration, which needs
-distinct roots; R always has them.  It starts from roots that a short
-Aberth iteration in complex floats has already placed near their targets,
-so it only has to polish them to the requested bits; polyroots alone
-decides convergence, and an iteration that does not settle raises
-ConvergenceFailure.
+Roots come from a short Aberth iteration in complex floats, polished by
+Newton's method on scaled Python ints and then certified: Gerschgorin disks
+built from exact Weierstrass corrections prove that each polished root is
+within 2^-(precision_bits + guard) of its own distinct root.  Where that
+proof fails, mpmath.polyroots, a Durand-Kerner iteration, takes over from the
+float start; it needs distinct roots, which R always has, and an iteration
+that does not settle raises ConvergenceFailure.
 """
 
 from __future__ import annotations
@@ -68,11 +69,17 @@ class RealApprox:
     error_bound: object
 
 
-# Durand-Kerner sweeps allowed per bit of precision, and the guard bits the
-# iteration and the returned roots carry beyond precision_bits on top of the
-# bit length of the polynomial's largest coefficient
-SWEEPS_PER_BIT = 4
+# Guard bits the returned roots carry beyond precision_bits on top of the
+# bit length of the polynomial's largest coefficient, and the Durand-Kerner
+# sweeps the fallback may take per bit of precision
 GUARD_BITS = 64
+SWEEPS_PER_BIT = 4
+# Bits the Newton polish works at beyond the guard, on top of the bit length
+# of the largest coefficient once more: Horner's rule at 2^-W puts a root
+# about that many bits further off.  On the 72 coprime cells k <= 15,
+# l <= k + 7 and on (20, 21) the certified radius stayed 5 to 18 bits inside
+# this margin
+POLISH_BITS = 16
 # Most Aberth sweeps the float start may take; trace_poly(40, 41), of degree
 # 80, takes 107
 START_SWEEPS = 160
@@ -84,7 +91,7 @@ NODE_CAP = 1 << 20
 
 
 def _float_start(coeffs: list[int]) -> list | None:
-    """Start points for polyroots from an Aberth iteration in complex floats.
+    """Start points for _newton and polyroots from an Aberth iteration in complex floats.
 
     coeffs run from the leading term down to a nonzero constant.  The
     iteration starts on a circle of radius 2 max |c_i|^(1/i), Fujiwara's
@@ -127,25 +134,125 @@ def _float_start(coeffs: list[int]) -> list | None:
     return None
 
 
+def _newton(coeffs: list[int], start: list, width: int, tol: int) -> list | None:
+    """Newton's method on each start point in Gaussian fixed point at 2^-width.
+
+    A root is a pair (re, im) of ints standing for (re + i im) 2^-width; p and
+    p' come from Horner's rule on them, cut back to 2^-width after each
+    product, as in _node_product.  A root stops once its correction is at
+    most tol units, and an imaginary part of at most tol units then becomes
+    exactly 0 (_certify proves such a root real or declines).  As p is real,
+    the roots below the real axis are then replaced by the conjugates of
+    those above it, so each pair shares its real part exactly.  None means
+    a correction did not shrink, p' vanished, a root had not stopped after
+    width.bit_length() steps (enough for a start good to 2^-8), or the roots
+    above and below the axis do not pair up.
+    """
+    out = []
+    for z in start:
+        a = int(mpmath.ldexp(z.real, width))
+        b = int(mpmath.ldexp(z.imag, width))
+        last = math.inf
+        for _ in range(width.bit_length()):
+            pr, pi = coeffs[0] << width, 0
+            dr = di = 0
+            for c in coeffs[1:]:
+                dr, di = ((dr * a - di * b) >> width) + pr, ((dr * b + di * a) >> width) + pi
+                pr, pi = ((pr * a - pi * b) >> width) + (c << width), (pr * b + pi * a) >> width
+            norm = dr * dr + di * di
+            if not norm:
+                return None
+            ur = ((pr * dr + pi * di) << width) // norm
+            ui = ((pi * dr - pr * di) << width) // norm
+            a, b = a - ur, b - ui
+            step = ur * ur + ui * ui
+            if step <= tol * tol:
+                break
+            if step >= last:
+                return None
+            last = step
+        else:
+            return None
+        out.append((a, 0 if abs(b) <= tol else b))
+    # p is real: each lower root is the conjugate of an upper one, exactly
+    upper = [(a, b) for a, b in out if b > 0]
+    lower = sum(b < 0 for _, b in out)
+    if lower != len(upper):
+        return None
+    return [r for r in out if not r[1]] + upper + [(a, -b) for a, b in upper]
+
+
+def _certify(coeffs: list[int], roots: list, width: int, tol: int) -> tuple[list, list] | None:
+    """Disjoint disks about the roots, each holding exactly one root of p, or None.
+
+    roots are (re, im) pairs at 2^-W, W = width, so with d = deg p and
+    x_i = roots[i], N_i = p(x_i) 2^(dW) and D_i = lead prod_{j != i}
+    (x_i - x_j) 2^((d-1)W) are exact Gaussian ints, and the Weierstrass
+    correction is w_i = N_i / (D_i 2^W).  The matrix diag(x) - w 1^T has characteristic
+    polynomial p / lead (Braess-Hadeler), and its row i Gerschgorin disk
+    D(x_i - w_i, (d-1)|w_i|) lies in D(x_i, d|w_i|).  Where these disks are
+    pairwise disjoint each holds exactly one eigenvalue, so every root of p
+    is within its disk's radius of a distinct x_i; a disk centred on the real
+    axis then holds a real root, as p's roots come in conjugate pairs.  The
+    radius d|w_i| 2^W is bounded above by r_i = isqrt(ceil(d^2 |N_i|^2 /
+    |D_i|^2)) + 1, and disjointness is |x_i - x_j|^2 2^(2W) > (r_i + r_j)^2, all
+    in ints.  Returns the r_i, each at most tol, and the |N_i|^2; None when
+    two x_i coincide, two disks meet, or a radius exceeds tol.
+    """
+    d = len(coeffs) - 1
+    lead = coeffs[0]
+    # the term of x^(d-j) in p(x) 2^(dW) carries 2^(jW)
+    scaled = [c << (j * width) for j, c in enumerate(coeffs)][1:]
+    radii, norms = [], []
+    for i, (a, b) in enumerate(roots):
+        nr, ni = lead, 0
+        for c in scaled:
+            nr, ni = nr * a - ni * b + c, nr * b + ni * a
+        den = lead * lead
+        for j, (c, e) in enumerate(roots):
+            if j != i:
+                den *= (a - c) ** 2 + (b - e) ** 2
+        if not den:
+            return None
+        norm = nr * nr + ni * ni
+        radius = math.isqrt(-(-d * d * norm // den)) + 1
+        if radius > tol:
+            return None
+        radii.append(radius)
+        norms.append(norm)
+    for i, (a, b) in enumerate(roots):
+        for j in range(i):
+            c, e = roots[j]
+            if (a - c) ** 2 + (b - e) ** 2 <= (radii[i] + radii[j]) ** 2:
+                return None
+    return radii, norms
+
+
 def poly_roots(poly: tuple[int, ...], precision_bits: int = DEFAULT_PRECISION) -> RootSet:
     """All roots of an integer polynomial, ascending int coefficients, with distinct roots.
 
-    mpmath.polyroots runs Durand-Kerner with a guard of GUARD_BITS plus the
-    bit length of the largest coefficient beyond precision_bits, and rounds
-    the roots to precision_bits + guard, the precision callers use them at.
-    The coefficient term pays for the cancellation in evaluating a
-    polynomial whose coefficients dwarf its values near the roots:
-    trace_poly(40, 41) stalls for its whole sweep cap with a fixed 64-bit
-    guard.  Zero roots are split off before the iteration and come back
-    exactly 0, as does the imaginary part of a real root.  The iteration
-    starts from _float_start's float roots, which cut its sweeps several
-    times over, or from polyroots' own start where there are none; the
-    start changes neither its tolerance nor its sweep cap.  A zero leading
-    coefficient raises InvalidParams, and ConvergenceFailure means the
-    iteration did not settle within its sweep cap.  A repeated root
+    Zero roots are split off first and come back exactly 0.  The rest start
+    from _float_start's float roots.  _newton polishes them on ints at
+    2^-W, W = precision_bits + guard + POLISH_BITS + the bit length c of
+    the largest coefficient, where guard = GUARD_BITS + c, and _certify
+    proves that each returned root is within 2^-(precision_bits + guard) of
+    a distinct root of the polynomial, real where its imaginary part is 0.
+    These roots are exact dyadics at 2^-W; the residual is read off the
+    certificate's exact values of the polynomial at them.
+
+    Where there is no float start, Newton does not settle or the
+    certificate fails (overflowing coefficients, repeated roots, a start too
+    far off), mpmath.polyroots runs Durand-Kerner from that start, or from
+    its own, with a guard of guard bits beyond precision_bits, and rounds
+    the roots to precision_bits + guard.  The coefficient term of guard pays
+    for the cancellation in evaluating a polynomial whose coefficients dwarf
+    its values near the roots: trace_poly(40, 41) stalls for its whole sweep
+    cap with a fixed 64-bit guard.  Durand-Kerner makes the imaginary part
+    of a real root exactly 0 too, but proves nothing; ConvergenceFailure
+    means it did not settle within its sweep cap.  A repeated root
     (spectral_poly's double root at z = 1, say) stalls it near sqrt(eps): it
     may then raise ConvergenceFailure or land anyway, so only distinct roots
-    are promised.
+    are promised.  A zero leading coefficient raises InvalidParams.
     """
     poly = int_coeffs(poly)
     if not any(poly[-1:]):
@@ -156,6 +263,22 @@ def poly_roots(poly: tuple[int, ...], precision_bits: int = DEFAULT_PRECISION) -
     zeros = next(i for i, c in enumerate(poly) if c)
     coeffs = poly[zeros:][::-1]
     start = _float_start(coeffs)
+    if start is not None:
+        extra = POLISH_BITS + scale.bit_length()
+        width = precision_bits + guard + extra
+        roots = _newton(coeffs, start, width, 1 << extra)
+        certified = roots and _certify(coeffs, roots, width, 1 << extra)
+        if certified:
+            # |p(x)| = |x|^zeros |q(x)| for the q that coeffs hold
+            norms = (n * (a * a + b * b) ** zeros for n, (a, b) in zip(certified[1], roots))
+            with mp.workprec(precision_bits + guard):
+                worst = mpmath.sqrt(max(norms))
+                residual = mpmath.ldexp(worst, -(len(poly) - 1) * width) / scale
+            with mp.workprec(max(abs(v).bit_length() for r in roots for v in r)):
+                found = [mp.mpc(mp.mpf((a, -width)), mp.mpf((b, -width))) for a, b in roots]
+            found = [mp.mpf(0)] * zeros + found
+            found.sort(key=lambda z: (mp.re(z), mp.im(z)))
+            return RootSet(tuple(found), residual)
     with mp.workprec(precision_bits + guard):
         try:
             found = [mp.mpf(0)] * zeros + mpmath.polyroots(

@@ -78,7 +78,7 @@ def normalize(n: int, k: int, l: int) -> GraphParams:
     return GraphParams(n, k0, l0)
 
 
-def circulant_matrix(p: GraphParams) -> IntMatrix:
+def circulant_matrix(p: GraphParams, minor: bool = False) -> IntMatrix:
     """n x n circulant S = A_l A_k - I, whose cokernel is the Laplacian's.
 
     Rows u_0..u_{n-1}, v_0..v_{n-1} put the 2n x 2n Laplacian in blocks
@@ -86,7 +86,9 @@ def circulant_matrix(p: GraphParams) -> IntMatrix:
     shift) holds a layer's step edges, a step of n/2 counted twice, and -I
     the spokes.  Adding A_l times the u rows to the v rows and A_k times the
     v columns to the u columns leaves [[0, -I], [S, 0]].  S is symmetric
-    with zero row sums; each principal (n-1)-minor is the tree count.
+    with zero row sums; each principal (n-1)-minor is the tree count.  With
+    minor, the rows are built without row and column 0, so that minor is
+    never a copy of S.
     """
     n = p.n
     if n > DENSE_CEILING:
@@ -96,4 +98,5 @@ def circulant_matrix(p: GraphParams) -> IntMatrix:
         for j, y in ((0, DEGREE), (p.l, -1), (-p.l, -1)):
             first[(i + j) % n] += x * y
     first[0] -= 1  # the spokes: (-I)(-I)
-    return IntMatrix([first[-i:] + first[:-i] for i in range(n)])
+    skip = int(minor)
+    return IntMatrix(first[n - i + skip :] + first[: n - i] for i in range(skip, n))

@@ -32,18 +32,21 @@ import mpmath
 from mpmath import mp
 
 from .asymptotics import DEFAULT_PRECISION, poly_roots
-from .bigmat import IntMatrix, determinant
+from .bigmat import determinant
 from .errors import InternalInconsistency, NotASquare, PrecisionExhausted
 from .igraph import GraphParams, circulant_matrix
 from .polyring import lucas_matrix, trace_poly
 
 ROUNDING_GUARD = 0.25
 # Largest count magnitude, in bits above precision_bits, that rounding may
-# accept.  The roots from poly_roots hold about precision_bits + 50 bits, so
-# a count within ~12 bits of that has noise near its units digit that still
-# lands within ROUNDING_GUARD of some integer about half the time: on a grid
-# of k <= 5, l <= 7, n < 260 at 64-256 bits, 41 of 4284 counts were wrong,
-# all with bit lengths in [bits + 48, bits + 64), none at or below bits + 48.
+# accept.  poly_roots gives the roots to 2^-(precision_bits + 64) or better
+# (proved, off its fallback), but the count rounds them to precision_bits +
+# 64 bits and raises them to the n-th power, so it holds about
+# precision_bits + 50 bits, and a count within ~12 bits of that has noise
+# near its units digit that still lands within ROUNDING_GUARD of some
+# integer about half the time: on a grid of k <= 5, l <= 7, n < 260 at
+# 64-256 bits, 41 of 4284 counts were wrong, all with bit lengths in
+# [bits + 48, bits + 64), none at or below bits + 48.
 COUNT_HEADROOM_BITS = 40
 
 
@@ -62,8 +65,7 @@ def _sign(p: GraphParams) -> int:
 def tree_count_kirchhoff(p: GraphParams) -> int:
     """tau as the determinant of the circulant S with row and column 0
     deleted; raises InvalidParams above igraph.DENSE_CEILING."""
-    minor = IntMatrix([row[1:] for row in circulant_matrix(p).to_lists()[1:]])
-    det = determinant(minor)
+    det = determinant(circulant_matrix(p, minor=True))
     if det <= 0:
         raise InternalInconsistency(f"matrix-tree minor determinant {det} is not positive")
     return det

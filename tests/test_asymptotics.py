@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import mpmath
 import pytest
 
@@ -6,9 +8,12 @@ import helpers
 import igraphjac.asymptotics
 from igraphjac import mahler_constant, mahler_integral, trace_poly, tree_count_resultant
 from igraphjac.asymptotics import (
+    GUARD_BITS,
     RootSet,
+    _certify,
     _chord_table,
     _halve_angles,
+    _newton,
     _node_product,
     asymptotic_ratio,
     poly_roots,
@@ -99,12 +104,21 @@ class TestPolyRoots:
         for value, expected in zip(got, range(1, 9)):
             assert abs(value - expected) < mpmath.mpf(2) ** -80
 
-    def test_real_roots_have_exact_zero_imaginary_part(self):
-        # R(2,3) has two real roots, x ~ -2.2043 and 2.3220
-        rset = poly_roots(trace_poly(2, 3), precision_bits=256)
-        real = [z for z in rset.roots if abs(mpmath.im(z)) < mpmath.mpf("1e-30")]
-        assert [mpmath.nstr(mpmath.re(z), 5) for z in real] == ["-2.2043", "2.322"]
-        assert all(mpmath.im(z) == 0 for z in real)
+    @pytest.mark.parametrize("k,l", sorted(expected_tables.GROWTH_4DP))
+    def test_real_roots_have_exact_zero_imaginary_part(self, k, l):
+        # a sign change of R across each exactly real root proves a real root
+        # there; every other root is far off the axis, so none was missed
+        trace = trace_poly(k, l)
+        rset = poly_roots(trace, precision_bits=64)
+        real = [mpmath.re(z) for z in rset.roots if mpmath.im(z) == 0]
+        assert all(abs(mpmath.im(z)) > mpmath.mpf(2) ** -32 for z in rset.roots if mpmath.im(z))
+        delta = Fraction(1, 2**40)
+        for x in real:
+            x = Fraction(int(mpmath.ldexp(x, 512)), 2**512)
+            assert helpers.evaluate(trace, x - delta) * helpers.evaluate(trace, x + delta) < 0
+        if (k, l) == (2, 3):
+            # R(2,3) has two real roots, x ~ -2.2043 and 2.3220
+            assert [mpmath.nstr(x, 5) for x in real] == ["-2.2043", "2.322"]
 
     def test_monomial_roots_are_exact_zeros(self):
         rset = poly_roots((0, 0, 0, 1), precision_bits=64)
@@ -134,11 +148,73 @@ class TestPolyRoots:
             assert abs(half - mpmath.mpf(1) / 2) < mpmath.mpf(2) ** -60
 
     def test_float_start_reaches_polyroots(self, monkeypatch):
+        # with the certificate declining, the float start seeds the fallback
+        monkeypatch.setattr(igraphjac.asymptotics, "_certify", lambda *args: None)
         starts = spy_on_polyroots(monkeypatch)
         poly_roots(trace_poly(5, 6), precision_bits=64)
         (start,) = starts
         assert len(start) == len(trace_poly(5, 6)) - 1 == 10
         assert all(mpmath.isfinite(z) for z in start)
+
+    @pytest.mark.parametrize("bits", [64, 128])
+    def test_table_a_roots_are_certified(self, monkeypatch, bits):
+        # every table-A cell takes the Newton polish, and every certified
+        # radius is within 2^-(bits + guard), guard = GUARD_BITS + the bit
+        # length of the largest coefficient
+        starts = spy_on_polyroots(monkeypatch)
+        radii = []
+
+        def spy(coeffs, roots, width, tol):
+            got = _certify(coeffs, roots, width, tol)
+            radii.append((coeffs, width, got and got[0]))
+            return got
+
+        monkeypatch.setattr(igraphjac.asymptotics, "_certify", spy)
+        cells = sorted(expected_tables.GROWTH_4DP)
+        for k, l in cells:
+            poly_roots(trace_poly(k, l), bits)
+        assert starts == []
+        assert len(radii) == len(cells)
+        for coeffs, width, got in radii:
+            guard = GUARD_BITS + max(abs(c) for c in coeffs).bit_length()
+            assert got and len(got) == len(coeffs) - 1
+            assert max(got) <= 2 ** (width - bits - guard)
+
+    def test_double_root_takes_polyroots(self, monkeypatch):
+        # (z - 1)^2 (z + 2): Newton creeps into the double root and never
+        # settles, so polyroots runs from the float start
+        starts = spy_on_polyroots(monkeypatch)
+        rset = poly_roots((2, -3, 0, 1), precision_bits=64)
+        (start,) = starts
+        assert len(start) == 3
+        got = sorted_reals(rset.roots)
+        for value, expected in zip(got, (-2, 1, 1)):
+            assert abs(value - expected) < mpmath.mpf(2) ** -25
+
+    def test_certificate_refuses_double_root(self):
+        # two points either side of the double root of (z - 1)^2 (z + 2):
+        # their disks meet whatever the tolerance
+        w = 100
+        roots = [(-2 << w, 0), ((1 << w) - 1, 0), ((1 << w) + 1, 0)]
+        assert _certify([1, 0, -3, 2], roots, w, 2**w) is None
+        assert _certify([1, 0, -3, 2], [(-2 << w, 0), (1 << w, 1), (1 << w, -1)], w, 2**w) is None
+
+    def test_starts_meeting_at_one_root_take_polyroots(self, monkeypatch):
+        # (z - 1)(z - 2)(z - 3) from two starts near 1: Newton takes both to
+        # 1, the certificate refuses the pair, and polyroots fixes the set
+        w, tol = 100, 2**20
+        coeffs = [1, -6, 11, -6]
+        start = [mpmath.mpc(x) for x in ("0.9", "1.1", "3.2")]
+        polished = _newton(coeffs, start, w, tol)
+        for (a, b), expected in zip(polished, (1, 1, 3)):
+            assert abs(a - (expected << w)) <= tol and b == 0
+        assert _certify(coeffs, polished, w, tol) is None
+        monkeypatch.setattr(igraphjac.asymptotics, "_float_start", lambda coeffs: start)
+        starts = spy_on_polyroots(monkeypatch)
+        rset = poly_roots((-6, 11, -6, 1), precision_bits=64)
+        assert starts == [start]
+        for value, expected in zip(sorted_reals(rset.roots), (1, 2, 3)):
+            assert abs(value - expected) < mpmath.mpf(2) ** -60
 
     @pytest.mark.parametrize("bits", [64, 128])
     def test_table_a_roots_match_unseeded(self, monkeypatch, bits):

@@ -155,3 +155,13 @@ def test_circulant_minors_are_the_kirchhoff_minor(n, k, l):
     for i in range(n):
         minor = [row[:i] + row[i + 1 :] for j, row in enumerate(s) if j != i]
         assert helpers.det_fractions(minor) == tau
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_circulant_minor_drops_row_and_column_zero(n):
+    for k, l in canonical_steps(n):
+        p = GraphParams(n, k, l)
+        s = circulant_matrix(p).to_lists()
+        minor = circulant_matrix(p, minor=True)
+        assert (minor.rows, minor.cols) == (n - 1, n - 1)
+        assert minor.to_lists() == [row[1:] for row in s[1:]]
