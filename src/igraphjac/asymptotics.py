@@ -15,10 +15,11 @@ geometrically, and its N-node product is (k^2 + l^2) tau(I(N, k, l)) / N.
 Roots come from a short Aberth iteration in complex floats, polished by
 Newton's method on scaled Python ints and then certified: Gerschgorin disks
 built from exact Weierstrass corrections prove that each polished root is
-within 2^-(precision_bits + guard) of its own distinct root.  Where that
-proof fails, mpmath.polyroots, a Durand-Kerner iteration, takes over from the
-float start; it needs distinct roots, which R always has, and an iteration
-that does not settle raises ConvergenceFailure.
+within its radius, at most 2^-(precision_bits + 64), of its own distinct
+root.  Where the float start is too far off for that, one low-precision
+mpmath.polyroots (Durand-Kerner) run reseeds the polish; a root set that
+neither seed certifies raises ConvergenceFailure.  The root product's error
+bound is read off the certified radii.
 """
 
 from __future__ import annotations
@@ -54,11 +55,14 @@ class RootSet:
     """All complex roots of a polynomial, sorted by (Re, Im).
 
     residual_bound is the largest |p(root)| after dividing p by its largest
-    coefficient, i.e. a backward-error figure for the whole set.
+    coefficient, i.e. a backward-error figure for the whole set.  radii[i]
+    is a proved bound on the distance from roots[i] to a root of p, each
+    root of p counted once.
     """
 
     roots: tuple
     residual_bound: object
+    radii: tuple
 
 
 @dataclass(frozen=True)
@@ -70,10 +74,11 @@ class RealApprox:
 
 
 # Guard bits the returned roots carry beyond precision_bits on top of the
-# bit length of the polynomial's largest coefficient, and the Durand-Kerner
-# sweeps the fallback may take per bit of precision
+# bit length of the largest coefficient.  The polyroots seed works at guard
+# bits within SEED_SWEEPS sweeps whatever precision_bits is, as _newton adds
+# the rest: R(30, 31) takes 20 sweeps from the float start, 57 without one
 GUARD_BITS = 64
-SWEEPS_PER_BIT = 4
+SEED_SWEEPS = 128
 # Bits the Newton polish works at beyond the guard, on top of the bit length
 # of the largest coefficient once more: Horner's rule at 2^-W puts a root
 # about that many bits further off.  On the 72 coprime cells k <= 15,
@@ -97,13 +102,13 @@ def _float_start(coeffs: list[int]) -> list | None:
     iteration starts on a circle of radius 2 max |c_i|^(1/i), Fujiwara's
     bound on the roots of the monic polynomial with coefficients c_i, and
     freezes a root once |p| there is at most eps sum |c_i| |z|^i, the scale
-    of the rounding error of Horner's rule.  None means no start: the degree
-    is below 1, a coefficient overflows a float, a value goes non-finite, or
-    a root has not settled after START_SWEEPS sweeps.
+    of the rounding error of Horner's rule.  A constant has the start [].
+    None means no start: a coefficient overflows a float, a value goes
+    non-finite, or a root has not settled after START_SWEEPS sweeps.
     """
     deg = len(coeffs) - 1
     if deg < 1:
-        return None
+        return []
     try:
         monic = [c / coeffs[0] for c in coeffs]
         radius = 2 * max(abs(c) ** (1 / i) for i, c in enumerate(monic) if i)
@@ -231,28 +236,24 @@ def _certify(coeffs: list[int], roots: list, width: int, tol: int) -> tuple[list
 def poly_roots(poly: tuple[int, ...], precision_bits: int = DEFAULT_PRECISION) -> RootSet:
     """All roots of an integer polynomial, ascending int coefficients, with distinct roots.
 
-    Zero roots are split off first and come back exactly 0.  The rest start
-    from _float_start's float roots.  _newton polishes them on ints at
-    2^-W, W = precision_bits + guard + POLISH_BITS + the bit length c of
-    the largest coefficient, where guard = GUARD_BITS + c, and _certify
-    proves that each returned root is within 2^-(precision_bits + guard) of
-    a distinct root of the polynomial, real where its imaginary part is 0.
-    These roots are exact dyadics at 2^-W; the residual is read off the
-    certificate's exact values of the polynomial at them.
+    Zero roots are split off first and come back exactly 0, with radius 0.
+    _newton polishes the rest on ints at 2^-W from _float_start's float
+    roots, W = precision_bits + guard + POLISH_BITS + c, where c is the bit
+    length of the largest coefficient and guard = GUARD_BITS + c.  _certify
+    then proves each root within its radius, at most 2^-(precision_bits +
+    GUARD_BITS), of a distinct root, and real where its imaginary part is 0.
+    The roots are exact dyadics at 2^-W and radii holds their radii; the
+    residual is read off the certificate's exact values of the polynomial.
 
-    Where there is no float start, Newton does not settle or the
-    certificate fails (overflowing coefficients, repeated roots, a start too
-    far off), mpmath.polyroots runs Durand-Kerner from that start, or from
-    its own, with a guard of guard bits beyond precision_bits, and rounds
-    the roots to precision_bits + guard.  The coefficient term of guard pays
-    for the cancellation in evaluating a polynomial whose coefficients dwarf
-    its values near the roots: trace_poly(40, 41) stalls for its whole sweep
-    cap with a fixed 64-bit guard.  Durand-Kerner makes the imaginary part
-    of a real root exactly 0 too, but proves nothing; ConvergenceFailure
-    means it did not settle within its sweep cap.  A repeated root
-    (spectral_poly's double root at z = 1, say) stalls it near sqrt(eps): it
-    may then raise ConvergenceFailure or land anyway, so only distinct roots
-    are promised.  A zero leading coefficient raises InvalidParams.
+    If Newton or the certificate fails on the float start (overflowing
+    coefficients, a start too far off), mpmath.polyroots runs Durand-Kerner
+    once from it, or from its own start, at guard bits within SEED_SWEEPS
+    sweeps, and its roots reseed both; the coefficient term of guard pays for
+    the cancellation near the roots of a polynomial whose coefficients dwarf
+    its values there.  No disk proves a repeated root (spectral_poly's double
+    root at z = 1, say), so only distinct roots are promised: a set that
+    neither seed certifies raises ConvergenceFailure.  A zero leading
+    coefficient raises InvalidParams.
     """
     poly = int_coeffs(poly)
     if not any(poly[-1:]):
@@ -262,40 +263,36 @@ def poly_roots(poly: tuple[int, ...], precision_bits: int = DEFAULT_PRECISION) -
     guard = GUARD_BITS + scale.bit_length()
     zeros = next(i for i, c in enumerate(poly) if c)
     coeffs = poly[zeros:][::-1]
-    start = _float_start(coeffs)
-    if start is not None:
-        extra = POLISH_BITS + scale.bit_length()
-        width = precision_bits + guard + extra
-        roots = _newton(coeffs, start, width, 1 << extra)
-        certified = roots and _certify(coeffs, roots, width, 1 << extra)
-        if certified:
-            # |p(x)| = |x|^zeros |q(x)| for the q that coeffs hold
-            norms = (n * (a * a + b * b) ** zeros for n, (a, b) in zip(certified[1], roots))
-            with mp.workprec(precision_bits + guard):
-                worst = mpmath.sqrt(max(norms))
-                residual = mpmath.ldexp(worst, -(len(poly) - 1) * width) / scale
-            with mp.workprec(max(abs(v).bit_length() for r in roots for v in r)):
-                found = [mp.mpc(mp.mpf((a, -width)), mp.mpf((b, -width))) for a, b in roots]
-            found = [mp.mpf(0)] * zeros + found
-            found.sort(key=lambda z: (mp.re(z), mp.im(z)))
-            return RootSet(tuple(found), residual)
+    extra = POLISH_BITS + scale.bit_length()
+    width = precision_bits + guard + extra
+    limit = 1 << (width - precision_bits - GUARD_BITS)
+    seed = _float_start(coeffs)
+    for reseed in (True, False):
+        roots = None if seed is None else _newton(coeffs, seed, width, 1 << extra)
+        certified = None if roots is None else _certify(coeffs, roots, width, limit)
+        if certified is not None or not reseed:
+            break
+        with mp.workprec(guard):
+            try:
+                seed = mpmath.polyroots(coeffs, SEED_SWEEPS, extraprec=guard, roots_init=seed)
+            except mp.NoConvergence:
+                seed = None
+    if certified is None:
+        raise ConvergenceFailure(
+            f"no certified roots of degree {len(coeffs) - 1} at {precision_bits} bits"
+        )
+    radii, norms = certified
+    # |p(x)| = |x|^zeros |q(x)| for the q that coeffs hold
+    norms = (n * (a * a + b * b) ** zeros for n, (a, b) in zip(norms, roots))
     with mp.workprec(precision_bits + guard):
-        try:
-            found = [mp.mpf(0)] * zeros + mpmath.polyroots(
-                coeffs,
-                maxsteps=128 + SWEEPS_PER_BIT * precision_bits,
-                extraprec=guard,
-                roots_init=start,
-            )
-        except mp.NoConvergence as exc:
-            raise ConvergenceFailure(
-                f"Durand-Kerner iteration stalled on degree {len(poly) - 1} "
-                f"at {precision_bits} bits"
-            ) from exc
-        values = (abs(mpmath.polyval(poly[::-1], z)) for z in found)
-        residual = max(values, default=mp.mpf(0)) / scale
-        found.sort(key=lambda z: (mp.re(z), mp.im(z)))
-    return RootSet(tuple(found), residual)
+        worst = mpmath.sqrt(max(norms, default=0))
+        residual = mpmath.ldexp(worst, -(len(poly) - 1) * width) / scale
+    # the exact ints sort as the roots do by (Re, Im)
+    found = sorted([(0, 0, 0)] * zeros + [(a, b, r) for (a, b), r in zip(roots, radii)])
+    with mp.workprec(1 + max((abs(v).bit_length() for row in found for v in row), default=0)):
+        found = [[mp.mpf((v, -width)) for v in row] for row in found]
+        roots = tuple(mp.mpc(a, b) for a, b, _ in found)
+    return RootSet(roots, residual, tuple(r for _, _, r in found))
 
 
 def mahler_constant(k: int, l: int, precision_bits: int = DEFAULT_PRECISION) -> RealApprox:
@@ -306,19 +303,25 @@ def mahler_constant(k: int, l: int, precision_bits: int = DEFAULT_PRECISION) -> 
     so the outer one contributes max(|z|, 1/|z|) with z = (x + s)/2.  The
     double root at z = 1 is the known root x = 2 divided out of R.  A factor
     within 2^(-precision_bits/4) of 1 (x on or near [-2, 2]) raises
-    ClassificationFailure.  A Newton correction dx moves |z| by a relative
-    |dx| / |s|, which carries the error bound; a root where R' is 0 has
-    none, since it is a repeated root, and raises ConvergenceFailure.
+    ClassificationFailure.
+
+    The bound is value (2 sum rho/|s| + floor), floor = 2^-(precision_bits -
+    8), with rho the certified radius of x.  Between x and its root
+    d log z/dx = 1/s, and log max(|z|, 1/|z|) = |Re log z| moves no faster.
+    The margin gives |s| >= |z| - 1/|z| > 2^(-precision_bits/4), and |x| < 12
+    (|z| < 11 by Cauchy's bound on spectral_poly), so with rho <=
+    2^-(precision_bits + 64) the segment changes 1/|s| by a factor under
+    1 + 2^-60: each log factor moves by at most (1 + 2^-60) rho/|s|, and the
+    product by under twice their sum, relative.  Working precision_bits/4
+    bits beyond the usual 64 pays for 1/|s| magnifying the rounding of x and
+    s, so floor covers the rounding that is left.
     """
-    trace = trace_poly(k, l)
-    rset = poly_roots(trace, precision_bits)
-    with mp.workprec(precision_bits + 64):
+    rset = poly_roots(trace_poly(k, l), precision_bits)
+    with mp.workprec(precision_bits + 64 + precision_bits // 4):
         margin = mp.mpf(2) ** (-(precision_bits // 4))
-        cs = trace[::-1]
         value = mp.mpf(1)
         err_rel = mp.mpf(0)
-        for x in rset.roots:
-            x = mp.mpc(x)
+        for x, radius in zip(rset.roots, rset.radii, strict=True):
             s = mpmath.sqrt(x * x - 4)
             r = abs((x + s) / 2)
             factor = max(r, 1 / r)
@@ -327,14 +330,8 @@ def mahler_constant(k: int, l: int, precision_bits: int = DEFAULT_PRECISION) -> 
                     f"root pair of modulus {mpmath.nstr(r, 20)} too close to the unit circle"
                 )
             value *= factor
-            q, dq = mpmath.polyval(cs, x, derivative=True)
-            if dq == 0:
-                raise ConvergenceFailure(
-                    f"root {mpmath.nstr(x, 20)} is repeated: R' vanishes there"
-                )
-            err_rel += abs(q / dq) / abs(s)
-        floor = mp.mpf(2) ** (-(precision_bits - 8))
-        bound = value * (16 * err_rel + floor)
+            err_rel += radius / abs(s)
+        bound = value * (2 * err_rel + mp.mpf(2) ** (-(precision_bits - 8)))
     return RealApprox(value, bound)
 
 

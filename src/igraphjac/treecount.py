@@ -39,8 +39,8 @@ from .polyring import lucas_matrix, trace_poly
 
 ROUNDING_GUARD = 0.25
 # Largest count magnitude, in bits above precision_bits, that rounding may
-# accept.  poly_roots gives the roots to 2^-(precision_bits + 64) or better
-# (proved, off its fallback), but the count rounds them to precision_bits +
+# accept.  poly_roots proves every root within a radius of at most
+# 2^-(precision_bits + 64), but the count rounds them to precision_bits +
 # 64 bits and raises them to the n-th power, so it holds about
 # precision_bits + 50 bits, and a count within ~12 bits of that has noise
 # near its units digit that still lands within ROUNDING_GUARD of some

@@ -85,6 +85,11 @@ class TestPolyRoots:
         assert abs(other[0] - 2) < mpmath.mpf(2) ** -50
         # the residual is of the whole z^3 (z - 2): z - 2 alone gives -2 at 0
         assert rset.residual_bound < mpmath.mpf(2) ** -50
+        # one radius per root, sorted with them, and 0 on each split-off zero
+        assert len(rset.radii) == 4
+        assert [r for z, r in zip(rset.roots, rset.radii) if z == 0] == [0, 0, 0]
+        (radius,) = [r for z, r in zip(rset.roots, rset.radii) if z != 0]
+        assert 0 < radius <= mpmath.mpf(2) ** -(64 + GUARD_BITS)
 
     def test_unit_circle_roots(self):
         rset = poly_roots((-1, 0, 0, 0, 1), precision_bits=96)
@@ -148,13 +153,49 @@ class TestPolyRoots:
             assert abs(half - mpmath.mpf(1) / 2) < mpmath.mpf(2) ** -60
 
     def test_float_start_reaches_polyroots(self, monkeypatch):
-        # with the certificate declining, the float start seeds the fallback
-        monkeypatch.setattr(igraphjac.asymptotics, "_certify", lambda *args: None)
+        # with the certificate declining the float start's polish, the float
+        # start seeds polyroots, and the reseeded set then certifies
+        verdicts = []
+
+        def decline_first(*args):
+            verdicts.append(None if not verdicts else _certify(*args))
+            return verdicts[-1]
+
+        monkeypatch.setattr(igraphjac.asymptotics, "_certify", decline_first)
         starts = spy_on_polyroots(monkeypatch)
-        poly_roots(trace_poly(5, 6), precision_bits=64)
+        rset = poly_roots(trace_poly(5, 6), precision_bits=64)
         (start,) = starts
         assert len(start) == len(trace_poly(5, 6)) - 1 == 10
         assert all(mpmath.isfinite(z) for z in start)
+        assert len(verdicts) == 2 and verdicts[1] is not None
+        assert len(rset.radii) == 10
+
+    def test_seed_precision_ignores_requested_bits(self, monkeypatch):
+        # the polyroots seed works at the guard alone: _newton adds the rest
+        monkeypatch.setattr(igraphjac.asymptotics, "_certify", lambda *args: None)
+        precisions = []
+        real = mpmath.polyroots
+
+        def spy(*args, **kwargs):
+            precisions.append(mpmath.mp.prec)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(mpmath, "polyroots", spy)
+        for bits in (128, 512):
+            with pytest.raises(ConvergenceFailure):
+                poly_roots(trace_poly(5, 6), precision_bits=bits)
+        guard = GUARD_BITS + max(abs(c) for c in trace_poly(5, 6)).bit_length()
+        assert precisions == [guard, guard]
+
+    def test_wide_cell_certifies_through_one_seed(self, monkeypatch):
+        # the float start of R(25, 26) is too far off for Newton, so one
+        # polyroots run reseeds it, and every radius is proved to the limit
+        starts = spy_on_polyroots(monkeypatch)
+        bits = 128
+        rset = poly_roots(trace_poly(25, 26), bits)
+        assert len(starts) == 1
+        assert len(rset.radii) == len(rset.roots) == 50
+        assert all(0 < r <= mpmath.mpf(2) ** -(bits + GUARD_BITS) for r in rset.radii)
 
     @pytest.mark.parametrize("bits", [64, 128])
     def test_table_a_roots_are_certified(self, monkeypatch, bits):
@@ -180,16 +221,15 @@ class TestPolyRoots:
             assert got and len(got) == len(coeffs) - 1
             assert max(got) <= 2 ** (width - bits - guard)
 
-    def test_double_root_takes_polyroots(self, monkeypatch):
+    def test_double_root_raises(self, monkeypatch):
         # (z - 1)^2 (z + 2): Newton creeps into the double root and never
-        # settles, so polyroots runs from the float start
+        # settles, polyroots runs once from the float start, and as no disk
+        # proves a double root, neither seed certifies
         starts = spy_on_polyroots(monkeypatch)
-        rset = poly_roots((2, -3, 0, 1), precision_bits=64)
+        with pytest.raises(ConvergenceFailure, match="no certified roots of degree 3"):
+            poly_roots((2, -3, 0, 1), precision_bits=64)
         (start,) = starts
         assert len(start) == 3
-        got = sorted_reals(rset.roots)
-        for value, expected in zip(got, (-2, 1, 1)):
-            assert abs(value - expected) < mpmath.mpf(2) ** -25
 
     def test_certificate_refuses_double_root(self):
         # two points either side of the double root of (z - 1)^2 (z + 2):
@@ -217,13 +257,20 @@ class TestPolyRoots:
             assert abs(value - expected) < mpmath.mpf(2) ** -60
 
     @pytest.mark.parametrize("bits", [64, 128])
-    def test_table_a_roots_match_unseeded(self, monkeypatch, bits):
-        cells = sorted(expected_tables.GROWTH_4DP)
-        seeded = [poly_roots(trace_poly(k, l), bits).roots for k, l in cells]
-        monkeypatch.setattr(igraphjac.asymptotics, "_float_start", lambda coeffs: None)
+    def test_table_a_roots_match_unseeded(self, bits):
+        # independent witness: mpmath's Durand-Kerner from its own start, at
+        # bits + guard, shares neither the float start nor Newton nor the
+        # certificate with poly_roots
         tolerance = mpmath.mpf(2) ** -bits
-        for (k, l), roots in zip(cells, seeded):
-            unseeded = poly_roots(trace_poly(k, l), bits).roots
+        for k, l in sorted(expected_tables.GROWTH_4DP):
+            trace = trace_poly(k, l)
+            roots = poly_roots(trace, bits).roots
+            guard = GUARD_BITS + max(abs(c) for c in trace).bit_length()
+            with mpmath.workprec(bits + guard):
+                unseeded = mpmath.polyroots(
+                    trace[::-1], maxsteps=128 + 4 * bits, extraprec=guard
+                )
+                unseeded.sort(key=lambda z: (mpmath.re(z), mpmath.im(z)))
             assert len(roots) == len(unseeded) == k + l - 1
             for got, want in zip(roots, unseeded):
                 assert abs(got - want) <= tolerance, (k, l, bits)
@@ -286,23 +333,44 @@ class TestMahlerConstant:
         mahler_constant(2, 3, precision_bits=64)
         assert calls == [(trace_poly(2, 3), 64)] * 2
 
+    def test_error_bound_reads_certified_radii(self, monkeypatch):
+        # radii of 2^-40 show in the bound value (2 sum rho/|s| + floor), far
+        # above its 2^-(bits - 8) floor; a radius short of its root raises
+        bits = 128
+        exact = mahler_constant(2, 3, bits)
+        roots = poly_roots(trace_poly(2, 3), bits).roots
+        radii = (mpmath.mpf(2) ** -40,) * len(roots)
+
+        def fake(radii):
+            return lambda poly, precision_bits: RootSet(roots, mpmath.mpf(0), radii)
+
+        monkeypatch.setattr(igraphjac.asymptotics, "poly_roots", fake(radii))
+        loose = mahler_constant(2, 3, bits)
+        assert loose.value == exact.value
+        with mpmath.workprec(2 * bits):
+            spread = sum(1 / abs(mpmath.sqrt(x * x - 4)) for x in roots)
+            least = 2 * loose.value * spread * mpmath.mpf(2) ** -40
+            floor = loose.value * mpmath.mpf(2) ** -(bits - 8)
+            assert least <= loose.error_bound <= least * (1 + mpmath.mpf(2) ** -60) + floor
+        monkeypatch.setattr(igraphjac.asymptotics, "poly_roots", fake(radii[1:]))
+        with pytest.raises(ValueError):
+            mahler_constant(2, 3, bits)
+
     def test_quotient_root_in_unit_interval_is_rejected(self, monkeypatch):
         # x = 1/2 lies in [-2, 2], so it maps to a pair of roots on the unit circle
         def fake_roots(poly, precision_bits):
-            return RootSet((mpmath.mpc(3), mpmath.mpc("0.5")), mpmath.mpf(0))
+            radii = (mpmath.mpf(0), mpmath.mpf(0))
+            return RootSet((mpmath.mpc(3), mpmath.mpc("0.5")), mpmath.mpf(0), radii)
 
         monkeypatch.setattr(igraphjac.asymptotics, "poly_roots", fake_roots)
         with pytest.raises(ClassificationFailure):
             mahler_constant(1, 2)
 
     def test_repeated_root_raises(self, monkeypatch):
-        # (x - 3)^2: R' vanishes at the root, so no Newton step bounds its error
-        def fake_roots(poly, precision_bits):
-            return RootSet((mpmath.mpc(3), mpmath.mpc(3)), mpmath.mpf(0))
-
+        # (x - 3)^2: no certificate proves a repeated root, so poly_roots
+        # refuses it before any factor is formed
         monkeypatch.setattr(igraphjac.asymptotics, "trace_poly", lambda k, l: (9, -6, 1))
-        monkeypatch.setattr(igraphjac.asymptotics, "poly_roots", fake_roots)
-        with pytest.raises(ConvergenceFailure, match="is repeated"):
+        with pytest.raises(ConvergenceFailure, match="no certified roots of degree 2"):
             mahler_constant(1, 2)
 
     def test_quotient_root_correspondence(self):
