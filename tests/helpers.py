@@ -16,7 +16,7 @@ size of the Z[x]/(R) the package now uses.  mahler_integral_mpf is the
 Mahler integral's trapezoidal rule with its chord table and node product
 in mpmath floats, where the package runs them on scaled ints.  Slow is
 fine; these only certify.  sixfold_rule_report is the diagnostic that tallies square
-decompositions by parity.
+decompositions by parity, and count_calls counts the calls a test pins.
 """
 
 from fractions import Fraction
@@ -613,3 +613,16 @@ def sixfold_rule_report(samples):
         "six_with_odd_sum": odd_sum_six,
         "odd_n_conflicts": conflicts,
     }
+
+
+def count_calls(monkeypatch, module, name) -> list:
+    """Wrap module.name for the test; the returned list grows by one per call."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls

@@ -4,6 +4,7 @@ from math import gcd
 import pytest
 
 import helpers
+from igraphjac import bigmat
 from igraphjac.bigmat import IntMatrix, determinant, smith_normal_form
 from igraphjac.errors import InvalidParams
 from igraphjac.igraph import GraphParams, circulant_matrix
@@ -260,3 +261,56 @@ class TestSmithNormalForm:
             modulus = mod_rng.randint(1, 200)
             assert smith_normal_form(transformed, modulus) == smith_normal_form(m, modulus)
 
+
+class TestSmithModuloBranches:
+    """Modulo D each step divides out common content, pivots on a unit, or
+    falls back to one Bezout step when the block has content 1 but no unit."""
+
+    def test_content_one_without_a_unit_takes_the_bezout_step(self, monkeypatch):
+        bezout = helpers.count_calls(monkeypatch, bigmat, "_bezout")
+        # 2 and 3 share a factor with 6, their gcd does not
+        assert smith_normal_form(IntMatrix([[2, 3]]), modulus=6) == (1,)
+        assert smith_normal_form(IntMatrix([[2, 0], [0, 3]]), modulus=6) == (1, 6)
+        assert bezout
+
+    def test_common_content_scales_every_factor(self):
+        rng = random.Random(43)
+        for trial in range(80):
+            rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+            data = random_matrix(rng, rows, cols, bound=rng.choice((9, 10**6))).to_lists()
+            modulus = 2 * rng.randint(0, 500) + 1
+            doubled = IntMatrix([[2 * x for x in row] for row in data])
+            expected = tuple(2 * d for d in smith_normal_form(IntMatrix(data), modulus=modulus))
+            assert smith_normal_form(doubled, modulus=2 * modulus) == expected
+
+    def test_block_with_content_d_returns_d_for_every_factor_left(self):
+        rng = random.Random(47)
+        for modulus in (2, 12, 360, 1001, 2**61 - 1):
+            # one unit pivot, then a block that is zero modulo D
+            rows = [[1, rng.randint(-9, 9), rng.randint(-9, 9)],
+                    [0, modulus * rng.randint(-5, 5), modulus * rng.randint(-5, 5)],
+                    [0, modulus * rng.randint(-5, 5), modulus * rng.randint(-5, 5)]]
+            u, v = random_unimodular(rng, 3), random_unimodular(rng, 3)
+            m = mat_mul(u, mat_mul(IntMatrix(rows), v))
+            assert smith_normal_form(m, modulus=modulus) == (1, modulus, modulus)
+            scaled = IntMatrix([[modulus * x for x in row] for row in m.to_lists()])
+            assert smith_normal_form(scaled, modulus=modulus) == (modulus,) * 3
+
+    def test_smooth_moduli_against_factors_over_z(self):
+        rng = random.Random(53)
+        for trial in range(120):
+            rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+            m = random_matrix(rng, rows, cols, bound=rng.choice((4, 30, 10**5)))
+            if rows > 1 and trial % 4 == 0:
+                data = m.to_lists()
+                i, j = rng.sample(range(rows), 2)
+                data[i] = [rng.randint(-3, 3) * x for x in data[j]]
+                m = IntMatrix(data)
+            modulus = 1
+            for prime, most in ((2, 12), (3, 7), (5, 4), (7, 3)):
+                modulus *= prime ** rng.randint(0, most)
+            over_z = smith_normal_form(m)
+            if sympy_snf is not None:
+                diag = sympy_snf(Matrix(m.to_lists()), domain=ZZ)
+                assert over_z == tuple(abs(int(diag[i, i])) for i in range(len(over_z)))
+            assert smith_normal_form(m, modulus=modulus) == tuple(gcd(d, modulus) for d in over_z)

@@ -1,6 +1,9 @@
+import math
+
 import pytest
 
 import helpers
+import igraphjac.bigmat
 import igraphjac.jacobian
 from igraphjac import (
     DENSE_CEILING,
@@ -13,6 +16,7 @@ from igraphjac.bigmat import smith_normal_form
 from igraphjac.errors import InternalInconsistency, InvalidParams
 from igraphjac.igraph import GraphParams, normalize
 from igraphjac.jacobian import LAPLACIAN_GATE, AbelianGroup
+from igraphjac.polyring import presentation_matrix, spectral_poly
 from igraphjac.treecount import Decomposition, decompose
 
 
@@ -129,6 +133,38 @@ def test_companion_takes_one_smith_form_per_graph(monkeypatch):
         assert moduli[-1] == dec.multiplier * p.n * dec.a
         assert moduli[-1] % exponent == 0
     assert len(moduli) == computed > 300
+
+
+@pytest.mark.parametrize("n, fallback_steps", [(1000, 0), (940, 1)])
+def test_companion_smith_form_pivots_on_units(monkeypatch, n, fallback_steps):
+    # modulo D an entry coprime to D is a unit and needs no Bezout step;
+    # I(940,2,3) meets one block with content 1 and no unit entry
+    p = GraphParams(n, 2, 3)
+    tau = tree_count_resultant(p)
+    dec = decompose(tau, p)
+    modulus = dec.multiplier * p.n * dec.a
+    m = presentation_matrix(spectral_poly(p.k, p.l), p.n)
+    bezout = helpers.count_calls(monkeypatch, igraphjac.bigmat, "_bezout")
+    cross = helpers.count_calls(monkeypatch, igraphjac.bigmat, "_clear_cross")
+    factors = smith_normal_form(m, modulus=modulus)
+    assert len(cross) == fallback_steps
+    assert bool(bezout) == bool(fallback_steps)
+    assert factors[-1] == modulus
+    assert math.prod(factors[:-1]) == tau
+
+
+def test_routes_agree_on_the_small_grid():
+    # every canonical graph of these steps up to n = 60, not a random draw
+    graphs = set()
+    for k, l in ((1, 2), (2, 3), (3, 4), (2, 5), (4, 5), (5, 7)):
+        for n in range(3, 61):
+            try:
+                graphs.add(normalize(n, k, l))
+            except InvalidParams:
+                continue
+    assert len(graphs) == 337
+    for p in sorted(graphs, key=lambda p: (p.k, p.l, p.n)):
+        assert jacobian_via_companion(p) == jacobian_via_laplacian(p), p
 
 
 def test_laplacian_gate():
