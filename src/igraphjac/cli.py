@@ -14,12 +14,17 @@ routes --method names on each graph and compares their results.  A graph
 whose routes disagree (InternalInconsistency) or run out of precision gets
 an error record and the sweep goes on; its exit code is the worst over the
 range, with a consistency failure outranking a precision failure.
+
+`main` builds its argparse parser once per process, on its first call, and
+reuses it: each later call only parses and dispatches.  Only the parser is
+kept; every call computes its records afresh.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import sys
 import time
@@ -370,9 +375,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command line (sys.argv[1:] by default); return its exit code.
+
+    The parser is built on the first call and reused by later calls in the
+    same process.  Parsing starts from a fresh namespace each time, and the
+    routes are looked up when they run, so no argument or rebound function
+    carries over from one call to the next.
+    """
+    args = _parser().parse_args(argv)
     # exact counts and invariant factors outgrow Python's default limit on
     # int -> decimal string conversion (4300 digits) from n of a few thousand
     digit_limit = getattr(sys, "get_int_max_str_digits", lambda: None)()

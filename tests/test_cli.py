@@ -517,3 +517,77 @@ class TestErrorsAndUsage:
             main(["--version"])
         assert info.value.code == 0
         assert "igraphjac" in capsys.readouterr().out
+
+
+class TestParserReuse:
+    """main builds its parser once per process; no call sees another's arguments."""
+
+    TREES = ["trees", "--n", "10..12", "--k", "2", "--l", "3", "--method", "all", "--json"]
+
+    @staticmethod
+    def masked(records):
+        return [{**rec, "timings_ms": None} for rec in records]
+
+    def test_defaults_do_not_leak_between_calls(self, capsys):
+        argv = ["asymptotic", "--k", "1", "--l", "2", "--json"]
+        _, [first] = run_json_lines(capsys, argv + ["--precision", "64"])
+        code, [second] = run_json_lines(capsys, argv)
+        assert first["precision_bits"] == 64
+        assert code == EXIT_OK
+        assert second["precision_bits"] == 256
+
+    def test_usage_error_leaves_no_state(self, capsys):
+        cli._parser.cache_clear()
+        _, first = run_json_lines(capsys, self.TREES)
+        with pytest.raises(SystemExit) as info:
+            main(["trees", "--n", "9..4", "--k", "2", "--l", "3", "--method", "resultant"])
+        assert info.value.code == EXIT_USAGE
+        capsys.readouterr()
+        code, again = run_json_lines(capsys, self.TREES)
+        assert code == EXIT_OK
+        assert self.masked(again) == self.masked(first)
+
+    def test_version_and_help_repeat(self, capsys):
+        outputs = []
+        for argv in (["--version"], ["--version"], ["--help"], ["trees", "--help"]):
+            with pytest.raises(SystemExit) as info:
+                main(argv)
+            assert info.value.code == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1] == f"igraphjac {igraphjac.__version__}\n"
+        fresh = cli.build_parser()
+        assert outputs[2] == fresh.format_help()
+        with pytest.raises(SystemExit):
+            fresh.parse_args(["trees", "--help"])
+        assert outputs[3] == capsys.readouterr().out
+
+    def test_parser_is_built_once(self, capsys, monkeypatch):
+        cli._parser.cache_clear()
+        builds = helpers.count_calls(monkeypatch, cli, "build_parser")
+        for n in range(10, 15):
+            assert main(["trees", "--n", str(n), "--k", "2", "--l", "3"]) == EXIT_OK
+        assert len(builds) == 1
+        assert cli.build_parser() is not cli.build_parser()
+
+    def test_route_patched_after_the_build_is_called(self, capsys, monkeypatch):
+        argv = ["trees", "--n", "12", "--k", "2", "--l", "3", "--method", "resultant", "--json"]
+        _, [before] = run_json_lines(capsys, argv)
+        calls = helpers.count_calls(monkeypatch, cli, "tree_count_resultant")
+        code, [after] = run_json_lines(capsys, argv)
+        assert code == EXIT_OK
+        assert calls == [(GraphParams(12, 2, 3),)]
+        assert self.masked([after]) == self.masked([before])
+
+    @pytest.mark.parametrize("argv", [
+        ["jacobian", "--n", "4..9", "--k", "2", "--l", "3", "--method", "both"],
+        ["trees", "--n", "4..9", "--k", "2", "--l", "3", "--method", "all"],
+        ["asymptotic", "--k", "2", "--l", "3", "--precision", "64"],
+        ["table", "--which", "jac34", "--format", "csv"],
+    ], ids=["jacobian", "trees", "asymptotic", "table"])
+    def test_repeated_calls_print_the_same(self, capsys, argv):
+        # text output carries no timings, so it can be compared whole
+        outputs = []
+        for _ in range(2):
+            assert main(argv) == EXIT_OK
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1]
