@@ -13,7 +13,9 @@ precision failure.  `jacobian` and `trees` share one driver that runs the
 routes --method names on each graph and compares their results.  A graph
 whose routes disagree (InternalInconsistency) or run out of precision gets
 an error record and the sweep goes on; its exit code is the worst over the
-range, with a consistency failure outranking a precision failure.
+range, with a consistency failure outranking a precision failure.  `table`
+builds its Jacobian tables from the same per-graph function, each over a
+fixed `jacobian` command line (JAC_TABLES), and fails on the first failure.
 
 `main` builds its argparse parser once per process, on its first call, and
 reuses it: each later call only parses and dispatches.  Only the parser is
@@ -161,8 +163,8 @@ def _trees_summary(p, tau) -> tuple[dict, str]:
 SUMMARIES = {"jacobian": _jacobian_summary, "trees": _trees_summary}
 
 
-def _run_graph(args, p) -> int:
-    """Run the chosen routes on one graph, check they agree, emit the record."""
+def _graph_record(args, p) -> tuple[dict, str]:
+    """Run the chosen routes on one graph, check they agree; return its record and text line."""
     results, timings = {}, {}
     for name in _route_names(args, p.n):
         t0 = time.perf_counter()
@@ -174,17 +176,17 @@ def _run_graph(args, p) -> int:
     fields, text = SUMMARIES[args.command](p, next(iter(results.values())))
     rec = {"params": {"n": p.n, "k": p.k, "l": p.l}, **fields}
     rec.update(methods_used=sorted(results), timings_ms=timings)
-    _emit(rec, args.json, text)
-    return EXIT_OK if all(fields["checks"].values()) else EXIT_INCONSISTENT
+    return rec, text
 
 
 def _sweep(args) -> int:
-    """Run one graph command over the range of n; return the worst status.
+    """Run one graph command over the range of n; print each record, return the worst status.
 
     Degenerate parameters get a skip record, and a graph whose computation
     fails gets an error record; either way the sweep goes on to the next n.
     A dense route asked for above DENSE_CEILING fails the whole command
-    before any record, so that no sweep stops halfway.
+    before any record, so that no sweep stops halfway.  `table` builds its
+    Jacobian tables from the same _graph_record, where a failure ends the command.
     """
     top = args.n[-1]
     if top > DENSE_CEILING and DENSE_ROUTES.intersection(_route_names(args, top)):
@@ -198,11 +200,13 @@ def _sweep(args) -> int:
             _emit(rec, args.json, f"I({n},{args.k},{args.l})  skipped: {rec['detail']}")
             continue
         try:
-            code = _run_graph(args, p)
+            rec, text = _graph_record(args, p)
+            code = EXIT_OK if all(rec["checks"].values()) else EXIT_INCONSISTENT
         except PRECISION_ERRORS + (InternalInconsistency,) as exc:
             code = EXIT_PRECISION if isinstance(exc, PRECISION_ERRORS) else EXIT_INCONSISTENT
             rec = _error_record(p.n, p.k, p.l, exc)
-            _emit(rec, args.json, f"{p}  failed: {rec['error']}: {rec['detail']}")
+            text = f"{p}  failed: {rec['error']}: {rec['detail']}"
+        _emit(rec, args.json, text)
         status = max(status, code, key=SEVERITY.index)
     return status
 
@@ -273,28 +277,21 @@ def _table_a_records() -> list[dict]:
     return records
 
 
-def _table_jac_records(k: int, l: int, n_range) -> list[dict]:
-    records = []
-    for n in n_range:
-        p = normalize(n, k, l)
-        group = jacobian_via_companion(p)
-        records.append(
-            {
-                "n": n,
-                "torsion": [str(d) for d in group.torsion],
-                "tau": str(group.order),
-            }
-        )
-    return records
+# Each Jacobian table reformats the records of one `jacobian` command line.
+JAC_TABLES = {
+    "jac23": "jacobian --n 4..35 --k 2 --l 3 --method companion",
+    "jac34": "jacobian --n 5..25 --k 3 --l 4 --method companion",
+}
+
+
+def _table_jac_rows(which: str) -> list[dict]:
+    args = _parser().parse_args(JAC_TABLES[which].split())
+    records = (_graph_record(args, normalize(n, args.k, args.l))[0] for n in args.n)
+    return [{"n": rec["params"]["n"], "torsion": rec["torsion"], "tau": rec["tau"]} for rec in records]
 
 
 def _table_lines(args) -> list[str]:
-    if args.which == "A":
-        records = _table_a_records()
-    elif args.which == "jac23":
-        records = _table_jac_records(2, 3, range(4, 36))
-    else:
-        records = _table_jac_records(3, 4, range(5, 26))
+    records = _table_a_records() if args.which == "A" else _table_jac_rows(args.which)
     if args.format == "json":
         return [json.dumps(rec) for rec in records]
     if args.format == "csv":

@@ -419,16 +419,24 @@ class TestTableCommand:
         assert lines[0] == "n,torsion,tau"
         assert len(lines) == 33
 
-    def test_jac34_csv_and_text_rows(self, capsys):
-        assert main(["table", "--which", "jac34", "--format", "csv"]) == EXIT_OK
+    @pytest.mark.parametrize(
+        "which, published, typos, first_group",
+        [
+            ("jac23", expected_tables.JAC_23, expected_tables.TAU_COLUMN_TYPOS_23, "n=  4  Z^1 + (7, 28) "),
+            ("jac34", expected_tables.JAC_34, {}, "n=  5  Z^1 + (2, 10, 10, 10) "),
+        ],
+    )
+    def test_jac_table_csv_and_text_rows(self, capsys, which, published, typos, first_group):
+        assert main(["table", "--which", which, "--format", "csv"]) == EXIT_OK
         csv_lines = capsys.readouterr().out.splitlines()
-        assert main(["table", "--which", "jac34"]) == EXIT_OK
+        assert main(["table", "--which", which]) == EXIT_OK
         text_lines = capsys.readouterr().out.splitlines()
         assert csv_lines[0] == "n,torsion,tau"
-        assert len(csv_lines) - 1 == len(text_lines) == len(expected_tables.JAC_34)
+        assert len(csv_lines) - 1 == len(text_lines) == len(published)
         tau_columns, paddings = set(), []
-        for n, csv_line, text_line in zip(sorted(expected_tables.JAC_34), csv_lines[1:], text_lines):
-            torsion, tau = expected_tables.JAC_34[n]
+        for n, csv_line, text_line in zip(sorted(published), csv_lines[1:], text_lines):
+            torsion, tau = published[n]
+            tau = typos.get(n, tau)
             factors = [str(d) for d in helpers.canonical_invariant_factors(torsion)]
             assert csv_line == f"{n},{' '.join(factors)},{tau}"
             group, _, tau_text = text_line.partition("  tau=")
@@ -439,23 +447,56 @@ class TestTableCommand:
         # the torsion column is padded to one width, just wide enough for every row
         assert len(tau_columns) == 1
         assert min(paddings) == 0
-        assert text_lines[0].startswith("n=  5  Z^1 + (2, 10, 10, 10) ")
+        assert text_lines[0].startswith(first_group)
+
+    @pytest.mark.parametrize("which", ["jac23", "jac34"])
+    def test_jac_table_rows_are_jacobian_records(self, capsys, monkeypatch, which):
+        # each table row is the (n, torsion, tau) of its `jacobian` command's record
+        calls = helpers.count_calls(monkeypatch, cli, "jacobian_via_companion")
+        code, rows = run_json_lines(capsys, ["table", "--which", which, "--format", "json"])
+        assert code == EXIT_OK
+        assert len(calls) == len(rows)
+        code, records = run_json_lines(capsys, [*cli.JAC_TABLES[which].split(), "--json"])
+        assert code == EXIT_OK
+        assert rows == [
+            {"n": rec["params"]["n"], "torsion": rec["torsion"], "tau": rec["tau"]} for rec in records
+        ]
+
+    def test_broken_invariant_factor_chain_fails_the_table(self, capsys, monkeypatch):
+        # unlike a sweep, a table stops at the first graph that fails
+        smith = igraphjac.jacobian.smith_normal_form
+
+        def reversed_chain(m, modulus=0):
+            *torsion, last = smith(m, modulus=modulus)
+            return (*reversed(torsion), last)
+
+        monkeypatch.setattr(igraphjac.jacobian, "smith_normal_form", reversed_chain)
+        code = main(["table", "--which", "jac34"])
+        captured = capsys.readouterr()
+        assert code == EXIT_INCONSISTENT
+        assert captured.out == ""
+        assert "internal consistency failure" in captured.err
+        assert "divisibility chain" in captured.err
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     @pytest.mark.parametrize("rows", [1, 5000])
     def test_failed_out_write_is_usage_error(self, capsys, monkeypatch, rows):
         # a short table fails when the file is closed, a long one in the write
-        records = [{"n": 4, "torsion": ["7", "28"], "tau": "196"}] * rows
-        monkeypatch.setattr(cli, "_table_jac_records", lambda *a: records)
+        calls = []
+        command = f"jacobian --n 4..{3 + rows} --k 2 --l 3 --method companion"
+        monkeypatch.setitem(cli.JAC_TABLES, "jac23", command)
+        group = AbelianGroup((7, 28), 1)
+        monkeypatch.setattr(cli, "jacobian_via_companion", lambda p: calls.append(p) or group)
         code = main(["table", "--which", "jac23", "--format", "json", "--out", "/dev/full"])
         captured = capsys.readouterr()
         assert code == EXIT_USAGE
         assert captured.out == ""
         assert "cannot write --out" in captured.err
+        assert len(calls) == rows
 
     def test_unwritable_out_is_usage_error(self, tmp_path, capsys, monkeypatch):
         # the path is checked before any record is computed
-        monkeypatch.setattr(cli, "_table_jac_records", lambda *a: pytest.fail("computed records"))
+        monkeypatch.setattr(cli, "jacobian_via_companion", lambda p: pytest.fail("computed records"))
         target = tmp_path / "missing" / "t.csv"
         code = main(["table", "--which", "jac23", "--format", "csv", "--out", str(target)])
         captured = capsys.readouterr()
