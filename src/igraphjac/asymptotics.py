@@ -12,21 +12,19 @@ trapezoidal rule: by Jensen's formula dividing P by |1 - z|^2 leaves the
 mean unchanged and removes the zero at z = 1, so the rule converges
 geometrically, and its N-node product is (k^2 + l^2) tau(I(N, k, l)) / N.
 
-Roots come from a short Aberth iteration in complex floats, polished by
-Newton's method on scaled Python ints and then certified: Gerschgorin disks
-built from exact Weierstrass corrections prove that each polished root is
-within its radius, at most 2^-(precision_bits + 64), of its own distinct
-root.  Where the float start is too far off for that, one low-precision
-mpmath.polyroots (Durand-Kerner) run reseeds the polish; a root set that
-neither seed certifies raises ConvergenceFailure.  The root product's error
-bound is read off the certified radii.
+Roots come from a short Aberth iteration in complex floats on the paper's
+Lucas form of R, polished by Newton's method on scaled Python ints and then
+certified: Gerschgorin disks built from exact Weierstrass corrections prove
+that each polished root is within its radius, at most
+2^-(precision_bits + 64), of its own distinct root.  A root set whose start
+does not settle or that the certificate refuses raises ConvergenceFailure.
+The root product's error bound is read off the certified radii.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -36,12 +34,11 @@ from mpmath import mp
 from .errors import (
     ClassificationFailure,
     ConvergenceFailure,
-    InvalidParams,
     QuadratureFailure,
     check_int,
     check_steps,
 )
-from .polyring import int_coeffs, trace_poly
+from .polyring import trace_poly
 
 if TYPE_CHECKING:  # pragma: no cover
     from .igraph import GraphParams
@@ -52,12 +49,12 @@ MIN_PRECISION = 32
 
 @dataclass(frozen=True)
 class RootSet:
-    """All complex roots of a polynomial, sorted by (Re, Im).
+    """The k+l-1 complex roots of R = trace_poly(k, l), sorted by (Re, Im).
 
-    residual_bound is the largest |p(root)| after dividing p by its largest
+    residual_bound is the largest |R(root)| after dividing R by its largest
     coefficient, i.e. a backward-error figure for the whole set.  radii[i]
-    is a proved bound on the distance from roots[i] to a root of p, each
-    root of p counted once.
+    is a proved bound on the distance from roots[i] to a root of R, each
+    root of R counted once.
     """
 
     roots: tuple
@@ -74,19 +71,16 @@ class RealApprox:
 
 
 # Guard bits the returned roots carry beyond precision_bits on top of the
-# bit length of the largest coefficient.  The polyroots seed works at guard
-# bits within SEED_SWEEPS sweeps whatever precision_bits is, as _newton adds
-# the rest: R(30, 31) takes 20 sweeps from the float start, 57 without one
+# bit length of the largest coefficient of R
 GUARD_BITS = 64
-SEED_SWEEPS = 128
 # Bits the Newton polish works at beyond the guard, on top of the bit length
 # of the largest coefficient once more: Horner's rule at 2^-W puts a root
 # about that many bits further off.  On the 72 coprime cells k <= 15,
 # l <= k + 7 and on (20, 21) the certified radius stayed 5 to 18 bits inside
 # this margin
 POLISH_BITS = 16
-# Most Aberth sweeps the float start may take; trace_poly(40, 41), of degree
-# 80, takes 107
+# Most Aberth sweeps the Lucas start may take; trace_poly(40, 41), of degree
+# 80, takes 44
 START_SWEEPS = 160
 # Most nodes mahler_integral's trapezoidal rule may use.  Near the cap its
 # chord table holds 2^19 + 1 ints of about 64 bytes each at 128 bits (80 at
@@ -95,45 +89,48 @@ START_SWEEPS = 160
 NODE_CAP = 1 << 20
 
 
-def _float_start(coeffs: list[int]) -> list | None:
-    """Start points for _newton and polyroots from an Aberth iteration in complex floats.
+def _lucas_start(k: int, l: int) -> list | None:
+    """Float roots of R = trace_poly(k, l), the start for _newton, from an Aberth iteration.
 
-    coeffs run from the leading term down to a nonzero constant.  The
-    iteration starts on a circle of radius 2 max |c_i|^(1/i), Fujiwara's
-    bound on the roots of the monic polynomial with coefficients c_i, and
-    freezes a root once |p| there is at most eps sum |c_i| |z|^i, the scale
-    of the rounding error of Horner's rule.  A constant has the start [].
-    None means no start: a coefficient overflows a float, a value goes
-    non-finite, or a root has not settled after START_SWEEPS sweeps.
+    R and R' come from the paper's Lucas form (x - 2) R(x) = G(x) =
+    8 - 3 V_k - 3 V_l + V_(k+l) + V_|k-l|, not from R's coefficients: with
+    z = (x + sqrt(x^2 - 4))/2 taken with |z| >= 1, V_j = z^j + z^-j and
+    V_j' = j (z^j - z^-j)/(z - 1/z), so R = G/(x - 2) and
+    R' = (G' - R)/(x - 2), all in complex floats.  The rounding error stays
+    on the scale of the largest term |z|^(k+l), about 1 for the roots near
+    [-2, 2], while Horner's rule on R's monomial coefficients (53 bits wide
+    at (40, 41)) loses most of a float's bits there.  The iteration starts
+    on the circle |x| = 3 and freezes a root once its step is at most
+    1e-15 max(1, |x|); a step relative to |x| alone never settles the roots
+    of (40, 41) near x = 0.08.  None means a value overflowed or went
+    non-finite, or a root had not settled after START_SWEEPS sweeps.
     """
-    deg = len(coeffs) - 1
-    if deg < 1:
-        return []
+    deg = k + l - 1
+    terms = ((k, -3), (l, -3), (k + l, 1), (abs(k - l), 1))
+    roots = [cmath.rect(3, 2 * math.pi * (i + 0.25) / deg) for i in range(deg)]
+    settled = [False] * deg
     try:
-        monic = [c / coeffs[0] for c in coeffs]
-        radius = 2 * max(abs(c) ** (1 / i) for i, c in enumerate(monic) if i)
-        roots = [cmath.rect(radius, 2 * math.pi * (i + 0.25) / deg) for i in range(deg)]
-        settled = [False] * deg
         for _ in range(START_SWEEPS):
-            for i, z in enumerate(roots):
+            for i, x in enumerate(roots):
                 if settled[i]:
                     continue
-                p = dp = 0j
-                size, az = 0.0, abs(z)
-                for c in monic:
-                    dp = dp * z + p
-                    p = p * z + c
-                    size = size * az + abs(c)
-                if abs(p) <= sys.float_info.epsilon * size:
-                    settled[i] = True
-                    continue
-                w = p / dp
-                w /= 1 - w * sum(1 / (z - r) for j, r in enumerate(roots) if j != i)
-                roots[i] = z - w
+                z = (x + cmath.sqrt(x * x - 4)) / 2
+                if abs(z) < 1:
+                    z = 1 / z
+                g, dg = 8, 0
+                for j, c in terms:
+                    zj = z**j
+                    g += c * (zj + 1 / zj)
+                    dg += c * j * (zj - 1 / zj)
+                # R / R' = G / (G' - R)
+                w = g / (dg / (z - 1 / z) - g / (x - 2))
+                w /= 1 - w * sum(1 / (x - y) for j, y in enumerate(roots) if j != i)
+                roots[i] = x - w
                 if not cmath.isfinite(roots[i]):
                     return None
+                settled[i] = abs(w) <= 1e-15 * max(1, abs(roots[i]))
             if all(settled):
-                return [mp.mpc(z) for z in roots]
+                return roots
     except (OverflowError, ZeroDivisionError):
         pass
     return None
@@ -233,63 +230,40 @@ def _certify(coeffs: list[int], roots: list, width: int, tol: int) -> tuple[list
     return radii, norms
 
 
-def poly_roots(poly: tuple[int, ...], precision_bits: int = DEFAULT_PRECISION) -> RootSet:
-    """All roots of an integer polynomial, ascending int coefficients, with distinct roots.
+def poly_roots(k: int, l: int, precision_bits: int = DEFAULT_PRECISION) -> RootSet:
+    """All k+l-1 roots of R = trace_poly(k, l), each certified distinct.
 
-    Zero roots are split off first and come back exactly 0, with radius 0.
-    _newton polishes the rest on ints at 2^-W from _float_start's float
-    roots, W = precision_bits + guard + POLISH_BITS + c, where c is the bit
-    length of the largest coefficient and guard = GUARD_BITS + c.  _certify
+    _newton polishes _lucas_start's float roots on ints at 2^-W,
+    W = precision_bits + guard + POLISH_BITS + c, where c is the bit length
+    of the largest coefficient of R and guard = GUARD_BITS + c.  _certify
     then proves each root within its radius, at most 2^-(precision_bits +
     GUARD_BITS), of a distinct root, and real where its imaginary part is 0.
     The roots are exact dyadics at 2^-W and radii holds their radii; the
-    residual is read off the certificate's exact values of the polynomial.
-
-    If Newton or the certificate fails on the float start (overflowing
-    coefficients, a start too far off), mpmath.polyroots runs Durand-Kerner
-    once from it, or from its own start, at guard bits within SEED_SWEEPS
-    sweeps, and its roots reseed both; the coefficient term of guard pays for
-    the cancellation near the roots of a polynomial whose coefficients dwarf
-    its values there.  No disk proves a repeated root (spectral_poly's double
-    root at z = 1, say), so only distinct roots are promised: a set that
-    neither seed certifies raises ConvergenceFailure.  A zero leading
-    coefficient raises InvalidParams.
+    residual is read off the certificate's exact values of R.  No root is
+    0: G(0) is 2, 8 or 14, so R(0) is -1, -4 or -7.  A start that does not
+    settle, or a set the certificate refuses, raises ConvergenceFailure.
     """
-    poly = int_coeffs(poly)
-    if not any(poly[-1:]):
-        raise InvalidParams(f"leading coefficient of {poly!r} is 0")
+    poly = trace_poly(k, l)
     check_int("precision_bits", precision_bits, MIN_PRECISION)
+    coeffs = poly[::-1]
     scale = max(abs(c) for c in poly)
     guard = GUARD_BITS + scale.bit_length()
-    zeros = next(i for i, c in enumerate(poly) if c)
-    coeffs = poly[zeros:][::-1]
     extra = POLISH_BITS + scale.bit_length()
     width = precision_bits + guard + extra
     limit = 1 << (width - precision_bits - GUARD_BITS)
-    seed = _float_start(coeffs)
-    for reseed in (True, False):
-        roots = None if seed is None else _newton(coeffs, seed, width, 1 << extra)
-        certified = None if roots is None else _certify(coeffs, roots, width, limit)
-        if certified is not None or not reseed:
-            break
-        with mp.workprec(guard):
-            try:
-                seed = mpmath.polyroots(coeffs, SEED_SWEEPS, extraprec=guard, roots_init=seed)
-            except mp.NoConvergence:
-                seed = None
+    start = _lucas_start(k, l)
+    roots = None if start is None else _newton(coeffs, start, width, 1 << extra)
+    certified = None if roots is None else _certify(coeffs, roots, width, limit)
     if certified is None:
         raise ConvergenceFailure(
             f"no certified roots of degree {len(coeffs) - 1} at {precision_bits} bits"
         )
     radii, norms = certified
-    # |p(x)| = |x|^zeros |q(x)| for the q that coeffs hold
-    norms = (n * (a * a + b * b) ** zeros for n, (a, b) in zip(norms, roots))
     with mp.workprec(precision_bits + guard):
-        worst = mpmath.sqrt(max(norms, default=0))
-        residual = mpmath.ldexp(worst, -(len(poly) - 1) * width) / scale
+        residual = mpmath.ldexp(mpmath.sqrt(max(norms)), -(len(poly) - 1) * width) / scale
     # the exact ints sort as the roots do by (Re, Im)
-    found = sorted([(0, 0, 0)] * zeros + [(a, b, r) for (a, b), r in zip(roots, radii)])
-    with mp.workprec(1 + max((abs(v).bit_length() for row in found for v in row), default=0)):
+    found = sorted((a, b, r) for (a, b), r in zip(roots, radii))
+    with mp.workprec(1 + max(abs(v).bit_length() for row in found for v in row)):
         found = [[mp.mpf((v, -width)) for v in row] for row in found]
         roots = tuple(mp.mpc(a, b) for a, b, _ in found)
     return RootSet(roots, residual, tuple(r for _, _, r in found))
@@ -316,7 +290,7 @@ def mahler_constant(k: int, l: int, precision_bits: int = DEFAULT_PRECISION) -> 
     bits beyond the usual 64 pays for 1/|s| magnifying the rounding of x and
     s, so floor covers the rounding that is left.
     """
-    rset = poly_roots(trace_poly(k, l), precision_bits)
+    rset = poly_roots(k, l, precision_bits)
     with mp.workprec(precision_bits + 64 + precision_bits // 4):
         margin = mp.mpf(2) ** (-(precision_bits // 4))
         value = mp.mpf(1)

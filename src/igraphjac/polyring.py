@@ -98,7 +98,7 @@ def _mul(a: list[int], b: list[int], f: tuple[int, ...]) -> list[int]:
     return out[:s]
 
 
-def int_coeffs(f) -> tuple[int, ...]:
+def _int_coeffs(f) -> tuple[int, ...]:
     """The coefficients f as a tuple, once each is an int and not a bool."""
     coeffs = tuple(f)
     if any(not isinstance(c, int) or isinstance(c, bool) for c in coeffs):
@@ -108,7 +108,7 @@ def int_coeffs(f) -> tuple[int, ...]:
 
 def _monic_coeffs(f, n: int) -> tuple[int, ...]:
     """The ascending int coefficients f, once f is monic of degree >= 1 and n >= 0."""
-    coeffs = int_coeffs(f)
+    coeffs = _int_coeffs(f)
     if len(coeffs) < 2 or coeffs[-1] != 1:
         raise InvalidParams(f"need a monic polynomial of degree >= 1, got {coeffs!r}")
     check_int("n", n, 0)

@@ -91,7 +91,7 @@ def tree_count_resultant(p: GraphParams) -> int:
 # perfbench/worker.py reads cache_info() by this name, so the old "quotient" name stays
 @lru_cache(maxsize=None)
 def _quotient_roots(k: int, l: int, precision_bits: int):
-    return poly_roots(trace_poly(k, l), precision_bits).roots
+    return poly_roots(k, l, precision_bits).roots
 
 
 def tree_count_chebyshev(p: GraphParams, precision_bits: int = DEFAULT_PRECISION) -> int:

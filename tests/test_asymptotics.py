@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import mpmath
 import pytest
@@ -31,90 +32,97 @@ def sorted_reals(roots):
     return sorted(mpmath.re(z) for z in roots)
 
 
-def spy_on_polyroots(monkeypatch):
-    """Record the roots_init each mpmath.polyroots call gets."""
-    starts = []
-    real = mpmath.polyroots
+def forbid_polyroots(monkeypatch):
+    """Make any mpmath.polyroots call fail."""
 
-    def spy(coeffs, *args, roots_init=None, **kwargs):
-        starts.append(roots_init)
-        return real(coeffs, *args, roots_init=roots_init, **kwargs)
+    def refuse(*args, **kwargs):
+        raise AssertionError("mpmath.polyroots called")
 
-    monkeypatch.setattr(mpmath, "polyroots", spy)
-    return starts
+    monkeypatch.setattr(mpmath, "polyroots", refuse)
+
+
+def oracle_roots(poly, bits):
+    """Roots of the ascending int coefficients poly from mpmath's Durand-Kerner."""
+    with mpmath.workprec(bits):
+        return mpmath.polyroots(poly[::-1], maxsteps=200, extraprec=bits)
+
+
+def polish_and_certify(coeffs, start, w, tol):
+    """_newton from start, then _certify, on descending coefficients at 2^-w."""
+    polished = _newton(coeffs, [mpmath.mpc(z) for z in start], w, tol)
+    assert polished is not None
+    assert _certify(coeffs, polished, w, tol) is not None
+    with mpmath.workprec(2 * w):
+        return [mpmath.mpc(mpmath.ldexp(a, -w), mpmath.ldexp(b, -w)) for a, b in polished]
 
 
 class TestPolyRoots:
     def test_rejects_zero(self):
-        with pytest.raises(InvalidParams):
-            poly_roots((0,))
-        # a zero leading coefficient is refused, not trimmed
-        with pytest.raises(InvalidParams):
-            poly_roots((1, 2, 0))
+        # the steps are checked as trace_poly checks them
+        for k, l in ((0, 1), (1, 0), (2, 4)):
+            with pytest.raises(InvalidParams):
+                poly_roots(k, l)
 
     def test_rejects_tiny_precision(self):
         with pytest.raises(InvalidParams):
-            poly_roots((1, 1), precision_bits=16)
+            poly_roots(1, 1, precision_bits=16)
 
     @pytest.mark.parametrize("bits", [64.5, "64", True, None])
     def test_rejects_non_int_precision(self, bits):
         with pytest.raises(InvalidParams):
-            poly_roots((1, 1), precision_bits=bits)
+            poly_roots(1, 1, precision_bits=bits)
 
-    @pytest.mark.parametrize("poly", [(1.0, 2.0, 1.0), (True, 1), (1, False, 1), ("1", 1)])
-    def test_rejects_non_int_coefficients(self, poly):
-        with pytest.raises(InvalidParams, match="coefficients must be ints"):
-            poly_roots(poly, precision_bits=64)
+    def test_no_root_at_origin(self):
+        # V_j(0) is 0 for odd j and 2 (-1)^(j/2) for even j, so G(0) = 8 - 6 (-1)^(k/2)
+        # with k the even step, 8 with both odd, and R(0) = G(0) / (0 - 2)
+        for l in range(1, 41):
+            for k in range(1, l + 1):
+                if gcd(k, l) == 1:
+                    assert trace_poly(k, l)[0] in (-1, -4, -7), (k, l)
 
     def test_integer_roots(self):
         # (z - 1)(z - 2)(z - 3)
-        rset = poly_roots((-6, 11, -6, 1), precision_bits=128)
-        got = sorted_reals(rset.roots)
+        w = 200
+        roots = polish_and_certify([1, -6, 11, -6], ["0.9", "2.2", "3.1"], w, 2**60)
+        got = sorted_reals(roots)
         for value, expected in zip(got, (1, 2, 3)):
             assert abs(value - expected) < mpmath.mpf(2) ** -100
-        assert all(abs(mpmath.im(z)) < mpmath.mpf(2) ** -100 for z in rset.roots)
-        assert rset.residual_bound < mpmath.mpf(2) ** -90
-
-    def test_origin_roots_are_exact(self):
-        # z^3 (z - 2)
-        rset = poly_roots((0, 0, 0, -2, 1), precision_bits=64)
-        zeros = [z for z in rset.roots if z == 0]
-        assert len(zeros) == 3
-        other = [z for z in rset.roots if z != 0]
-        assert len(other) == 1
-        assert abs(other[0] - 2) < mpmath.mpf(2) ** -50
-        # the residual is of the whole z^3 (z - 2): z - 2 alone gives -2 at 0
-        assert rset.residual_bound < mpmath.mpf(2) ** -50
-        # one radius per root, sorted with them, and 0 on each split-off zero
-        assert len(rset.radii) == 4
-        assert [r for z, r in zip(rset.roots, rset.radii) if z == 0] == [0, 0, 0]
-        (radius,) = [r for z, r in zip(rset.roots, rset.radii) if z != 0]
-        assert 0 < radius <= mpmath.mpf(2) ** -(64 + GUARD_BITS)
+        assert all(mpmath.im(z) == 0 for z in roots)
 
     def test_unit_circle_roots(self):
-        rset = poly_roots((-1, 0, 0, 0, 1), precision_bits=96)
-        assert len(rset.roots) == 4
-        for z in rset.roots:
+        w = 160
+        start = [1.1, -0.9, 0.05 + 1.02j, 0.02 - 0.97j]
+        roots = polish_and_certify([1, 0, 0, 0, -1], start, w, 2**60)
+        assert len(roots) == 4
+        for z in roots:
             assert abs(abs(z) - 1) < mpmath.mpf(2) ** -80
-        # closed under conjugation
-        for z in rset.roots:
-            assert any(abs(w - mpmath.conj(z)) < mpmath.mpf(2) ** -60 for w in rset.roots)
+        # closed under conjugation, exactly
+        with mpmath.workprec(2 * w):
+            assert all(mpmath.conj(z) in roots for z in roots)
 
     def test_moderate_degree_distinct_integers(self):
         coeffs = (1,)
         for r in range(1, 9):
             coeffs = helpers.poly_mul(coeffs, (-r, 1))
-        rset = poly_roots(coeffs, precision_bits=160)
-        got = sorted_reals(rset.roots)
-        for value, expected in zip(got, range(1, 9)):
+        start = [r + 0.1 * (-1) ** r for r in range(1, 9)]
+        roots = polish_and_certify(list(coeffs[::-1]), start, 256, 2**80)
+        for value, expected in zip(sorted_reals(roots), range(1, 9)):
             assert abs(value - expected) < mpmath.mpf(2) ** -80
+
+    def test_non_monic(self):
+        # 6x^2 - 5x + 1 = (2x - 1)(3x - 1): _certify divides by the lead coefficient
+        roots = polish_and_certify([6, -5, 1], ["0.3", "0.6"], 128, 2**40)
+        third, half = sorted_reals(roots)
+        with mpmath.workprec(128):
+            assert abs(third - mpmath.mpf(1) / 3) < mpmath.mpf(2) ** -60
+            assert abs(half - mpmath.mpf(1) / 2) < mpmath.mpf(2) ** -60
 
     @pytest.mark.parametrize("k,l", sorted(expected_tables.GROWTH_4DP))
     def test_real_roots_have_exact_zero_imaginary_part(self, k, l):
         # a sign change of R across each exactly real root proves a real root
         # there; every other root is far off the axis, so none was missed
         trace = trace_poly(k, l)
-        rset = poly_roots(trace, precision_bits=64)
+        rset = poly_roots(k, l, precision_bits=64)
         real = [mpmath.re(z) for z in rset.roots if mpmath.im(z) == 0]
         assert all(abs(mpmath.im(z)) > mpmath.mpf(2) ** -32 for z in rset.roots if mpmath.im(z))
         delta = Fraction(1, 2**40)
@@ -125,84 +133,40 @@ class TestPolyRoots:
             # R(2,3) has two real roots, x ~ -2.2043 and 2.3220
             assert [mpmath.nstr(x, 5) for x in real] == ["-2.2043", "2.322"]
 
-    def test_monomial_roots_are_exact_zeros(self):
-        rset = poly_roots((0, 0, 0, 1), precision_bits=64)
-        assert rset.roots == (0, 0, 0)
-
-    def test_constant_has_no_roots(self):
-        rset = poly_roots((5,), precision_bits=64)
-        assert rset.roots == ()
-        assert rset.residual_bound == 0
-
-    def test_float_overflow_runs_unseeded(self, monkeypatch):
-        # (x - 1)(x - 2^1100): its coefficients overflow a float
-        starts = spy_on_polyroots(monkeypatch)
-        rset = poly_roots((2**1100, -(2**1100 + 1), 1), precision_bits=64)
-        assert starts == [None]
-        small, big = sorted_reals(rset.roots)
-        with mpmath.workprec(128):
-            assert abs(small - 1) < mpmath.mpf(2) ** -60
-            assert abs(big / mpmath.mpf(2) ** 1100 - 1) < mpmath.mpf(2) ** -60
-
-    def test_non_monic(self):
-        # 6x^2 - 5x + 1 = (2x - 1)(3x - 1)
-        rset = poly_roots((1, -5, 6), precision_bits=64)
-        third, half = sorted_reals(rset.roots)
-        with mpmath.workprec(128):
-            assert abs(third - mpmath.mpf(1) / 3) < mpmath.mpf(2) ** -60
-            assert abs(half - mpmath.mpf(1) / 2) < mpmath.mpf(2) ** -60
-
-    def test_float_start_reaches_polyroots(self, monkeypatch):
-        # with the certificate declining the float start's polish, the float
-        # start seeds polyroots, and the reseeded set then certifies
-        verdicts = []
-
-        def decline_first(*args):
-            verdicts.append(None if not verdicts else _certify(*args))
-            return verdicts[-1]
-
-        monkeypatch.setattr(igraphjac.asymptotics, "_certify", decline_first)
-        starts = spy_on_polyroots(monkeypatch)
-        rset = poly_roots(trace_poly(5, 6), precision_bits=64)
-        (start,) = starts
-        assert len(start) == len(trace_poly(5, 6)) - 1 == 10
-        assert all(mpmath.isfinite(z) for z in start)
-        assert len(verdicts) == 2 and verdicts[1] is not None
-        assert len(rset.radii) == 10
-
-    def test_seed_precision_ignores_requested_bits(self, monkeypatch):
-        # the polyroots seed works at the guard alone: _newton adds the rest
-        monkeypatch.setattr(igraphjac.asymptotics, "_certify", lambda *args: None)
-        precisions = []
-        real = mpmath.polyroots
-
-        def spy(*args, **kwargs):
-            precisions.append(mpmath.mp.prec)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(mpmath, "polyroots", spy)
-        for bits in (128, 512):
-            with pytest.raises(ConvergenceFailure):
-                poly_roots(trace_poly(5, 6), precision_bits=bits)
-        guard = GUARD_BITS + max(abs(c) for c in trace_poly(5, 6)).bit_length()
-        assert precisions == [guard, guard]
-
-    def test_wide_cell_certifies_through_one_seed(self, monkeypatch):
-        # the float start of R(25, 26) is too far off for Newton, so one
-        # polyroots run reseeds it, and every radius is proved to the limit
-        starts = spy_on_polyroots(monkeypatch)
+    @pytest.mark.parametrize("k,l", [(20, 21), (25, 26), (30, 31), (40, 41)])
+    def test_wide_cells_certify_without_polyroots(self, monkeypatch, k, l):
+        # the Lucas start alone is close enough for Newton on the wide cells,
+        # and every radius is proved to the limit
+        forbid_polyroots(monkeypatch)
         bits = 128
-        rset = poly_roots(trace_poly(25, 26), bits)
-        assert len(starts) == 1
-        assert len(rset.radii) == len(rset.roots) == 50
+        rset = poly_roots(k, l, bits)
+        assert len(rset.radii) == len(rset.roots) == k + l - 1
         assert all(0 < r <= mpmath.mpf(2) ** -(bits + GUARD_BITS) for r in rset.radii)
+
+    @pytest.mark.parametrize("bits", [64, 128])
+    def test_grid_certifies(self, monkeypatch, bits):
+        # every coprime cell k <= 15, l <= k + 7 certifies from the Lucas start
+        forbid_polyroots(monkeypatch)
+        cells = [(k, l) for k in range(1, 16) for l in range(k, k + 8) if gcd(k, l) == 1]
+        assert len(cells) == 72
+        for k, l in cells:
+            rset = poly_roots(k, l, bits)
+            assert len(rset.radii) == k + l - 1
+            assert max(rset.radii) <= mpmath.mpf(2) ** -(bits + GUARD_BITS), (k, l)
+
+    def test_unsettled_start_raises(self, monkeypatch):
+        # one Aberth sweep leaves the start of R(5, 6) unsettled
+        monkeypatch.setattr(igraphjac.asymptotics, "START_SWEEPS", 1)
+        assert igraphjac.asymptotics._lucas_start(5, 6) is None
+        with pytest.raises(ConvergenceFailure, match="no certified roots of degree 10"):
+            poly_roots(5, 6, precision_bits=64)
 
     @pytest.mark.parametrize("bits", [64, 128])
     def test_table_a_roots_are_certified(self, monkeypatch, bits):
         # every table-A cell takes the Newton polish, and every certified
         # radius is within 2^-(bits + guard), guard = GUARD_BITS + the bit
         # length of the largest coefficient
-        starts = spy_on_polyroots(monkeypatch)
+        forbid_polyroots(monkeypatch)
         radii = []
 
         def spy(coeffs, roots, width, tol):
@@ -213,8 +177,7 @@ class TestPolyRoots:
         monkeypatch.setattr(igraphjac.asymptotics, "_certify", spy)
         cells = sorted(expected_tables.GROWTH_4DP)
         for k, l in cells:
-            poly_roots(trace_poly(k, l), bits)
-        assert starts == []
+            poly_roots(k, l, bits)
         assert len(radii) == len(cells)
         for coeffs, width, got in radii:
             guard = GUARD_BITS + max(abs(c) for c in coeffs).bit_length()
@@ -222,14 +185,17 @@ class TestPolyRoots:
             assert max(got) <= 2 ** (width - bits - guard)
 
     def test_double_root_raises(self, monkeypatch):
-        # (z - 1)^2 (z + 2): Newton creeps into the double root and never
-        # settles, polyroots runs once from the float start, and as no disk
-        # proves a double root, neither seed certifies
-        starts = spy_on_polyroots(monkeypatch)
-        with pytest.raises(ConvergenceFailure, match="no certified roots of degree 3"):
-            poly_roots((2, -3, 0, 1), precision_bits=64)
-        (start,) = starts
-        assert len(start) == 3
+        # a polish that puts two roots of R(2, 3) on one point leaves a double
+        # root to the certificate, which no disk proves
+        real = _newton
+
+        def merge(*args):
+            roots = real(*args)
+            return [roots[0]] + roots[:-1]
+
+        monkeypatch.setattr(igraphjac.asymptotics, "_newton", merge)
+        with pytest.raises(ConvergenceFailure, match="no certified roots of degree 4"):
+            poly_roots(2, 3, precision_bits=64)
 
     def test_certificate_refuses_double_root(self):
         # two points either side of the double root of (z - 1)^2 (z + 2):
@@ -239,9 +205,9 @@ class TestPolyRoots:
         assert _certify([1, 0, -3, 2], roots, w, 2**w) is None
         assert _certify([1, 0, -3, 2], [(-2 << w, 0), (1 << w, 1), (1 << w, -1)], w, 2**w) is None
 
-    def test_starts_meeting_at_one_root_take_polyroots(self, monkeypatch):
+    def test_starts_meeting_at_one_root_are_refused(self):
         # (z - 1)(z - 2)(z - 3) from two starts near 1: Newton takes both to
-        # 1, the certificate refuses the pair, and polyroots fixes the set
+        # 1, and the certificate refuses the pair
         w, tol = 100, 2**20
         coeffs = [1, -6, 11, -6]
         start = [mpmath.mpc(x) for x in ("0.9", "1.1", "3.2")]
@@ -249,22 +215,16 @@ class TestPolyRoots:
         for (a, b), expected in zip(polished, (1, 1, 3)):
             assert abs(a - (expected << w)) <= tol and b == 0
         assert _certify(coeffs, polished, w, tol) is None
-        monkeypatch.setattr(igraphjac.asymptotics, "_float_start", lambda coeffs: start)
-        starts = spy_on_polyroots(monkeypatch)
-        rset = poly_roots((-6, 11, -6, 1), precision_bits=64)
-        assert starts == [start]
-        for value, expected in zip(sorted_reals(rset.roots), (1, 2, 3)):
-            assert abs(value - expected) < mpmath.mpf(2) ** -60
 
     @pytest.mark.parametrize("bits", [64, 128])
     def test_table_a_roots_match_unseeded(self, bits):
         # independent witness: mpmath's Durand-Kerner from its own start, at
-        # bits + guard, shares neither the float start nor Newton nor the
+        # bits + guard, shares neither the Lucas start nor Newton nor the
         # certificate with poly_roots
         tolerance = mpmath.mpf(2) ** -bits
         for k, l in sorted(expected_tables.GROWTH_4DP):
             trace = trace_poly(k, l)
-            roots = poly_roots(trace, bits).roots
+            roots = poly_roots(k, l, bits).roots
             guard = GUARD_BITS + max(abs(c) for c in trace).bit_length()
             with mpmath.workprec(bits + guard):
                 unseeded = mpmath.polyroots(
@@ -276,9 +236,9 @@ class TestPolyRoots:
                 assert abs(got - want) <= tolerance, (k, l, bits)
 
     def test_reciprocal_pairing(self):
-        rset = poly_roots(helpers.spectral_quotient(2, 3), precision_bits=192)
+        roots = oracle_roots(helpers.spectral_quotient(2, 3), 192)
         with mpmath.workprec(256):
-            radii = sorted(abs(z) for z in rset.roots)
+            radii = sorted(abs(z) for z in roots)
             for r, s in zip(radii, reversed(radii)):
                 assert abs(r * s - 1) < mpmath.mpf("1e-25")
 
@@ -324,25 +284,25 @@ class TestMahlerConstant:
         calls = []
         real = igraphjac.asymptotics.poly_roots
 
-        def counting(poly, precision_bits):
-            calls.append((poly, precision_bits))
-            return real(poly, precision_bits)
+        def counting(k, l, precision_bits):
+            calls.append((k, l, precision_bits))
+            return real(k, l, precision_bits)
 
         monkeypatch.setattr(igraphjac.asymptotics, "poly_roots", counting)
         mahler_constant(2, 3, precision_bits=64)
         mahler_constant(2, 3, precision_bits=64)
-        assert calls == [(trace_poly(2, 3), 64)] * 2
+        assert calls == [(2, 3, 64)] * 2
 
     def test_error_bound_reads_certified_radii(self, monkeypatch):
         # radii of 2^-40 show in the bound value (2 sum rho/|s| + floor), far
         # above its 2^-(bits - 8) floor; a radius short of its root raises
         bits = 128
         exact = mahler_constant(2, 3, bits)
-        roots = poly_roots(trace_poly(2, 3), bits).roots
+        roots = poly_roots(2, 3, bits).roots
         radii = (mpmath.mpf(2) ** -40,) * len(roots)
 
         def fake(radii):
-            return lambda poly, precision_bits: RootSet(roots, mpmath.mpf(0), radii)
+            return lambda k, l, precision_bits: RootSet(roots, mpmath.mpf(0), radii)
 
         monkeypatch.setattr(igraphjac.asymptotics, "poly_roots", fake(radii))
         loose = mahler_constant(2, 3, bits)
@@ -358,7 +318,7 @@ class TestMahlerConstant:
 
     def test_quotient_root_in_unit_interval_is_rejected(self, monkeypatch):
         # x = 1/2 lies in [-2, 2], so it maps to a pair of roots on the unit circle
-        def fake_roots(poly, precision_bits):
+        def fake_roots(k, l, precision_bits):
             radii = (mpmath.mpf(0), mpmath.mpf(0))
             return RootSet((mpmath.mpc(3), mpmath.mpc("0.5")), mpmath.mpf(0), radii)
 
@@ -367,25 +327,23 @@ class TestMahlerConstant:
             mahler_constant(1, 2)
 
     def test_repeated_root_raises(self, monkeypatch):
-        # (x - 3)^2: no certificate proves a repeated root, so poly_roots
-        # refuses it before any factor is formed
-        monkeypatch.setattr(igraphjac.asymptotics, "trace_poly", lambda k, l: (9, -6, 1))
+        # a root set the certificate refuses, as it refuses a repeated root,
+        # raises before any factor is formed
+        monkeypatch.setattr(igraphjac.asymptotics, "_certify", lambda *args: None)
         with pytest.raises(ConvergenceFailure, match="no certified roots of degree 2"):
             mahler_constant(1, 2)
 
     def test_quotient_root_correspondence(self):
         # outside roots map to Q's roots through w = (z + 1/z) / 2 and to
         # R's through x = 2w, the correspondence mahler_constant inverts
-        rset = poly_roots(helpers.spectral_quotient(2, 3), precision_bits=192)
+        zs = oracle_roots(helpers.spectral_quotient(2, 3), 192)
+        ws = oracle_roots(helpers.chebyshev_quotient(2, 3), 192)
         with mpmath.workprec(256):
             mapped = sorted(
-                mpmath.re((z + 1 / z) / 2)
-                for z in rset.roots
-                if abs(z) > 1 + mpmath.mpf("1e-20")
+                mpmath.re((z + 1 / z) / 2) for z in zs if abs(z) > 1 + mpmath.mpf("1e-20")
             )
-            wset = poly_roots(helpers.chebyshev_quotient(2, 3), precision_bits=192)
-            expected = sorted_reals(wset.roots)
-            xs = sorted_reals(poly_roots(trace_poly(2, 3), precision_bits=192).roots)
+            expected = sorted_reals(ws)
+            xs = sorted_reals(poly_roots(2, 3, precision_bits=192).roots)
             assert len(mapped) == len(expected) == len(xs) == 4
             for got, want, x in zip(mapped, expected, xs):
                 assert abs(got - want) < mpmath.mpf("1e-40")
