@@ -301,15 +301,8 @@ def _table_lines(args) -> list[str]:
         cells = {(rec["k"], rec["l"]): rec["A"] for rec in records}
         lines = ["k\\l " + "".join(f"{l:>8}" for l in range(1, 10))]
         for k in range(1, 9):
-            row = [f"{k:>3} "]
-            for l in range(1, 10):
-                if l < k:
-                    row.append(" " * 8)
-                elif (k, l) in cells:
-                    row.append(f"{cells[(k, l)]:>8}")
-                else:
-                    row.append(f"{'-':>8}")
-            lines.append("".join(row).rstrip())
+            row = "".join(" " * 8 if l < k else f"{cells.get((k, l), '-'):>8}" for l in range(1, 10))
+            lines.append(f"{k:>3} {row}".rstrip())
         return lines
     groups = [f"n={rec['n']:>3}  Z^1 + (" + ", ".join(rec["torsion"]) + ")" for rec in records]
     width = max(map(len, groups))

@@ -70,12 +70,7 @@ def normalize(n: int, k: int, l: int) -> GraphParams:
     if m > 1:
         raise DisconnectedError(m)
     d = gcd(k0, l0)
-    if d > 1:
-        k0 //= d
-        l0 //= d
-    if k0 > l0:
-        k0, l0 = l0, k0
-    return GraphParams(n, k0, l0)
+    return GraphParams(n, *sorted((k0 // d, l0 // d)))
 
 
 def circulant_matrix(p: GraphParams, minor: bool = False) -> IntMatrix:

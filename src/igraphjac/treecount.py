@@ -11,11 +11,9 @@ resultant  - tau = n |det N_R| / (k^2 + l^2) with R = trace_poly(k, l), the
              ladder in O(log n) ring products.  Exact for any n, and the
              default for large n.
 chebyshev  - tau = (-1)^((n-1)(k+l)) n prod (V_n(x) - 2)/(x - 2) over the
-             roots x of R, with V_n(x) = z^n + z^-n evaluated in place from
-             z = (x + s)/2, s = sqrt(x^2 - 4); floating point with a
-             rounding guard, mainly a numerically independent cross-check.
-             The growth constant in asymptotics reads the same roots and the
-             same s.
+             certified roots x of R, with V_n from a Lucas ladder on the
+             roots' Gaussian fixed-point ints; returned only when its error
+             bound proves the integer, a numerically independent cross-check.
 
 Every count tau is divisible by n, is at least n^3, and splits as
 tau = multiplier * n * a^2 with multiplier 6 when n is even and the exact
@@ -28,26 +26,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
 
-import mpmath
-from mpmath import mp
+from mpmath.libmp import to_fixed
 
 from .asymptotics import DEFAULT_PRECISION, poly_roots
 from .bigmat import determinant
 from .errors import InternalInconsistency, NotASquare, PrecisionExhausted
 from .igraph import GraphParams, circulant_matrix
 from .polyring import lucas_matrix, trace_poly
-
-ROUNDING_GUARD = 0.25
-# Largest count magnitude, in bits above precision_bits, that rounding may
-# accept.  poly_roots proves every root within a radius of at most
-# 2^-(precision_bits + 64), but the count rounds them to precision_bits +
-# 64 bits and raises them to the n-th power, so it holds about
-# precision_bits + 50 bits, and a count within ~12 bits of that has noise
-# near its units digit that still lands within ROUNDING_GUARD of some
-# integer about half the time: on a grid of k <= 5, l <= 7, n < 260 at
-# 64-256 bits, 41 of 4284 counts were wrong, all with bit lengths in
-# [bits + 48, bits + 64), none at or below bits + 48.
-COUNT_HEADROOM_BITS = 40
 
 
 @dataclass(frozen=True)
@@ -56,10 +41,6 @@ class Decomposition:
 
     a: int
     multiplier: int
-
-
-def _sign(p: GraphParams) -> int:
-    return -1 if ((p.n - 1) * (p.k + p.l)) % 2 else 1
 
 
 def tree_count_kirchhoff(p: GraphParams) -> int:
@@ -88,46 +69,77 @@ def tree_count_resultant(p: GraphParams) -> int:
     return tau
 
 
+def _lucas(x: tuple, n: int, width: int) -> tuple:
+    """V_n(x) = z^n + z^-n, x = z + 1/z = (re, im) at 2^-width, as (re, im, error bound).
+
+    The ladder steps from V_j, V_j+1 (V_0 = 2, V_1 = x), by the bits of n
+    from the top, to V_2j = V_j^2 - 2 and V_2j+1 = V_j V_j+1 - x, or to
+    V_2j+1 and V_2j+2, on its own ints and not polyring.lucas_matrix, so
+    the two counts witness each other.  Values off by e_p and e_q multiply
+    to one off by at most |p| e_q + (|q| + e_q) e_p, |re| + |im| bounding a
+    modulus, plus 3 units for the two cuts back to 2^-width.
+    """
+    def mul(p, q, sub):
+        (pr, pi, pe), (qr, qi, qe) = p, q
+        e = ((abs(pr) + abs(pi)) * qe + (abs(qr) + abs(qi) + qe) * pe >> width) + 3
+        return ((pr * qr - pi * qi) >> width) - sub[0], ((pr * qi + pi * qr) >> width) - sub[1], e
+
+    two = (2 << width, 0)
+    lo, hi = (*two, 0), (*x, 0)
+    for bit in bin(n)[2:]:
+        lo, hi = (mul(lo, hi, x), mul(hi, hi, two)) if bit == "1" else (mul(lo, lo, two), mul(lo, hi, x))
+    return lo
+
+
 # perfbench/worker.py reads cache_info() by this name, so the old "quotient" name stays
 @lru_cache(maxsize=None)
 def _quotient_roots(k: int, l: int, precision_bits: int):
-    return poly_roots(k, l, precision_bits).roots
+    return poly_roots(k, l, precision_bits)
 
 
 def tree_count_chebyshev(p: GraphParams, precision_bits: int = DEFAULT_PRECISION) -> int:
-    """tau from the Chebyshev closed formula in floating point, rounded to an int.
+    """tau from the Chebyshev closed formula on the certified roots of R, proved or refused.
 
-    Rounding is only accepted when the value has at most precision_bits +
-    COUNT_HEADROOM_BITS bits and sits within ROUNDING_GUARD of an integer
-    (and its imaginary part is just as small); otherwise PrecisionExhausted
-    asks the caller for more bits.
+    With each root cut to a Gaussian int c at 2^-W, W = precision_bits + 64
+    + 2 bit_length(n), F = sign n prod (V_n(c) - 2)/prod (c - 2) is exact.
+    Per root, _lucas's bound e moves it by a relative e/|V_n(c) - 2|, and
+    the root of R within r of c (its radius plus 2 ulps for the cut) by
+    expm1(s), s = r (n - 1)/(dist(c, [-2, 2]) - r), as f(x) = (V_n(x) - 2)/
+    (x - 2) = prod_{0<j<n} (x - 2 cos(2 pi j/n)) has |f'/f| <= (n - 1)/dist.
+    With S the sum of both over the roots, tau is within |F| S/(1 - S) of
+    F; it is returned when that real interval holds one integer and the
+    imaginary part of F lies within the bound, else PrecisionExhausted
+    names the failed test.
     """
-    roots = _quotient_roots(p.k, p.l, precision_bits)
-    with mp.workprec(precision_bits + 64):
-        acc = mp.mpc(1)
-        for x in roots:
-            x = mp.mpc(x)
-            s = mpmath.sqrt(x * x - 4)
-            v_n = ((x + s) / 2) ** p.n + ((x - s) / 2) ** p.n
-            acc *= (v_n - 2) / (x - 2)
-        signed = _sign(p) * p.n * acc
-        value = mp.re(signed)
-        distance = max(abs(value - mpmath.nint(value)), abs(mp.im(signed)))
-        # past COUNT_HEADROOM_BITS the root error reaches the units digit
-        # and the distance test below stops meaning anything
-        if value != 0 and mpmath.mag(value) > precision_bits + COUNT_HEADROOM_BITS:
-            raise PrecisionExhausted(
-                f"count magnitude 2^{mpmath.mag(value)} leaves no headroom "
-                f"at {precision_bits} bits; increase precision_bits"
-            )
-        if distance >= ROUNDING_GUARD:
-            raise PrecisionExhausted(
-                f"count is not within {ROUNDING_GUARD} of an integer at "
-                f"{precision_bits} bits; increase precision_bits"
-            )
-        tau = int(mpmath.nint(value))
+    rset = _quotient_roots(p.k, p.l, precision_bits)
+    n, width = p.n, precision_bits + 64 + 2 * p.n.bit_length()
+    at = f" at {precision_bits} bits; increase precision_bits"
+    unit, two = 1 << width, 2 << width
+    # F's numerator ar + i ai (from sign n) and denominator dr + i di, and S at 2^-W
+    ar, ai, dr, di, slack = -n if (n - 1) * (p.k + p.l) % 2 else n, 0, 1, 0, 0
+    for root, radius in zip(rset.roots, rset.radii, strict=True):
+        xr, xi = to_fixed(root.real._mpf_, width), to_fixed(root.imag._mpf_, width)
+        r, off = to_fixed(radius._mpf_, width) + 3, max(abs(xr) - two, 0)
+        gap = isqrt(off * off + xi * xi) - r  # at most dist(x, [-2, 2]) on the disk
+        vr, vi, e = _lucas((xr, xi), n, width)
+        vr -= two
+        size = isqrt(vr * vr + vi * vi)  # at most |V_n(c) - 2|
+        # a disk meeting [-2, 2], or V_n(c) - 2 cut to 0, fails the test S < 1
+        slack += -(r * (n - 1) * unit // -gap) - (e * unit // -size) if gap > 0 and size else unit
+        ar, ai = ar * vr - ai * vi, ar * vi + ai * vr
+        dr, di = dr * (xr - two) - di * xi, dr * xi + di * (xr - two)
+    if slack >= unit:
+        raise PrecisionExhausted("the count's relative error bound reaches 1" + at)
+    # F = (nr + i ni)/den, and err/den >= |F| S/(1 - S)
+    nr, ni, den = ar * dr + ai * di, ai * dr - ar * di, dr * dr + di * di
+    err = -((abs(nr) + abs(ni)) * slack // (slack - unit))
+    if abs(ni) > err:
+        raise PrecisionExhausted("imaginary part of the count exceeds its error bound" + at)
+    low, tau = -((err - nr) // den), (nr + err) // den
+    if low != tau:
+        raise PrecisionExhausted(f"count interval holds {max(tau - low + 1, 0)} integers{at}")
     if tau <= 0:
-        raise PrecisionExhausted(f"rounded count {tau} is not positive")
+        raise InternalInconsistency(f"proved count {tau} is not positive")
     return tau
 
 

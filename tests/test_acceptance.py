@@ -131,7 +131,7 @@ def test_criterion_4_tree_count_triple_agreement(capsys, oracle_grid):
             assert [type(c) for c in counts] == [int] * 3, inst.raw
             tau = inst.kirchhoff
             assert inst.resultant == tau
-            assert inst.chebyshev == tau  # 256-bit guard enforced inside
+            assert inst.chebyshev == tau  # proved inside at 256 bits
             n = inst.params.n
             assert tau % n == 0
             assert tau >= n**3

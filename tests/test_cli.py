@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 
@@ -9,7 +10,6 @@ from igraphjac import DENSE_CEILING, cli, treecount, jacobian_via_laplacian, tre
 from igraphjac.errors import InternalInconsistency
 from igraphjac.igraph import GraphParams
 from igraphjac.jacobian import AbelianGroup
-from igraphjac.treecount import ROUNDING_GUARD
 from igraphjac.cli import EXIT_INCONSISTENT, EXIT_OK, EXIT_PRECISION, EXIT_USAGE, main
 
 import expected_tables
@@ -165,22 +165,25 @@ class TestTreesCommand:
         assert code == EXIT_PRECISION
         assert rec["error"] == "PrecisionExhausted"
 
-    def test_precision_record_names_the_rounding_guard(self, capsys, monkeypatch):
+    def test_precision_record_names_the_failed_test(self, capsys, monkeypatch):
         # the detail states the test that failed, not root-noise digits; roots
-        # moved 2^-40 off the real axis give the count an imaginary part far
-        # above the guard while its magnitude keeps plenty of headroom
+        # moved 2^-40 off the real axis, far beyond their certified radii,
+        # give the count an imaginary part far above its error bound
         roots = treecount._quotient_roots
-        monkeypatch.setattr(
-            treecount, "_quotient_roots",
-            lambda k, l, bits: [x + mpmath.mpc(0, 2**-40) for x in roots(k, l, bits)],
-        )
+
+        def moved(k, l, bits):
+            rset = roots(k, l, bits)
+            with mpmath.workprec(1024):
+                return dataclasses.replace(rset, roots=tuple(x + mpmath.mpc(0, 2**-40) for x in rset.roots))
+
+        monkeypatch.setattr(treecount, "_quotient_roots", moved)
         argv = ["trees", "--n", "60", "--k", "2", "--l", "3", "--method", "chebyshev", "--json"]
         code, (rec,) = run_json_lines(capsys, argv)
         assert code == EXIT_PRECISION
         assert rec == {
             "params": {"n": 60, "k": 2, "l": 3},
             "error": "PrecisionExhausted",
-            "detail": f"count is not within {ROUNDING_GUARD} of an integer at 256 bits; "
+            "detail": "imaginary part of the count exceeds its error bound at 256 bits; "
                       "increase precision_bits",
         }
 

@@ -1,5 +1,7 @@
+import dataclasses
 from math import gcd
 
+import mpmath
 import pytest
 
 import helpers
@@ -17,7 +19,6 @@ from igraphjac import (
 from igraphjac.bigmat import IntMatrix, determinant
 from igraphjac.errors import PrecisionExhausted
 from igraphjac.igraph import GraphParams
-from igraphjac.treecount import COUNT_HEADROOM_BITS
 
 ALL_METHODS = (tree_count_kirchhoff, tree_count_resultant, tree_count_chebyshev)
 
@@ -83,7 +84,7 @@ def test_q_ring_oracle(n, k, l):
 
 
 def test_chebyshev_needs_enough_bits():
-    # a count near 2.4e31 overflows the integer headroom of 32-bit requests
+    # a count near 2.4e31 is more than roots certified at 32 bits can prove
     p = GraphParams(45, 2, 3)
     with pytest.raises(PrecisionExhausted):
         tree_count_chebyshev(p, precision_bits=32)
@@ -92,10 +93,11 @@ def test_chebyshev_needs_enough_bits():
 @pytest.mark.parametrize("bits", [64, 128])
 @pytest.mark.parametrize("k,l", [(1, 2), (1, 3), (2, 3), (2, 5)])
 def test_chebyshev_refuses_counts_past_its_headroom(k, l, bits):
-    # the roots hold about bits + 50 bits, so a count a few bits short of
-    # that can round to a wrong integer (I(55,1,2) at 64 bits); every count
-    # in the band around the headroom must be right or refused
-    checked = 0
+    # the roots are certified to about bits + 64 bits, so counts in the band
+    # around that size are where a wrong integer could show (I(55,1,2) at 64
+    # bits rounded to one under a guessed rule); every count there must be
+    # right or refused, and the band holds both
+    accepted = refused = 0
     for n in range(l + 1, 1000):
         p = GraphParams(n, k, l)
         tau = tree_count_resultant(p)
@@ -103,13 +105,73 @@ def test_chebyshev_refuses_counts_past_its_headroom(k, l, bits):
             break
         if tau.bit_length() < bits + 24:
             continue
-        checked += 1
         try:
             assert tree_count_chebyshev(p, precision_bits=bits) == tau
+            accepted += 1
         except PrecisionExhausted:
-            # only for want of headroom, not from a miss of the rounding guard
-            assert tau.bit_length() >= bits + COUNT_HEADROOM_BITS
-    assert checked >= 10
+            refused += 1
+    assert accepted >= 10 and refused >= 1
+
+
+def test_chebyshev_grid_is_right_or_refused():
+    # k <= 5, l <= 7, n < 260 at 64 to 256 bits, every 5th n: no count the
+    # proof accepts differs from the resultant route's
+    accepted = refused = 0
+    for bits in (64, 128, 192, 256):
+        for k in range(1, 6):
+            for l in range(k, 8):
+                if gcd(k, l) != 1:
+                    continue
+                for n in range(max(3, l + 1) + (k + l + bits) % 5, 260, 5):
+                    p = GraphParams(n, k, l)
+                    try:
+                        assert tree_count_chebyshev(p, precision_bits=bits) == tree_count_resultant(p)
+                        accepted += 1
+                    except PrecisionExhausted:
+                        refused += 1
+    assert accepted >= 1000 and refused >= 1000
+
+
+@pytest.mark.parametrize("shift,accepted", [(-244, True), (-240, False)])
+def test_chebyshev_refuses_an_interval_with_several_integers(monkeypatch, shift, accepted):
+    # I(100,2,3) has a 231-bit count; radii of 2^-240 put three integers in
+    # its interval, radii of 2^-244 leave one
+    p = GraphParams(100, 2, 3)
+    rset = igraphjac.treecount._quotient_roots(2, 3, 256)
+    wide = dataclasses.replace(rset, radii=tuple(mpmath.ldexp(1, shift) for _ in rset.radii))
+    monkeypatch.setattr(igraphjac.treecount, "_quotient_roots", lambda k, l, bits: wide)
+    if accepted:
+        assert tree_count_chebyshev(p) == tree_count_resultant(p)
+    else:
+        with pytest.raises(PrecisionExhausted, match="count interval holds 3 integers at 256 bits"):
+            tree_count_chebyshev(p)
+
+
+def test_chebyshev_refuses_a_wide_ladder_bound(monkeypatch):
+    # the ladder's rounding bound enters the proof as the radii do: widened
+    # 2^96-fold it spreads I(100,2,3)'s interval over 15 integers
+    lucas = igraphjac.treecount._lucas
+
+    def widened(x, n, width):
+        vr, vi, e = lucas(x, n, width)
+        return vr, vi, e << 96
+
+    monkeypatch.setattr(igraphjac.treecount, "_lucas", widened)
+    with pytest.raises(PrecisionExhausted, match="count interval holds 15 integers"):
+        tree_count_chebyshev(GraphParams(100, 2, 3))
+
+
+def test_chebyshev_accepts_the_sweep_counts():
+    # sweep-crosscheck's Chebyshev leg retries a refused count at 512 bits, so
+    # a proof looser than the guessed rule it replaced would cost retries:
+    # that rule accepted n <= 125 at 256 bits, and every n at 512
+    for k, l in ((2, 3), (3, 4)):
+        for n in range(90, 215, 5):
+            p = GraphParams(n, k, l)
+            tau = tree_count_resultant(p)
+            if n <= 125:
+                assert tree_count_chebyshev(p, precision_bits=256) == tau
+            assert tree_count_chebyshev(p, precision_bits=512) == tau
 
 
 def test_chebyshev_roots_r_once_per_key(monkeypatch):
