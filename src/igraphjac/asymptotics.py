@@ -18,7 +18,8 @@ certified: Gerschgorin disks built from exact Weierstrass corrections prove
 that each polished root is within its radius, at most
 2^-(precision_bits + 64), of its own distinct root.  A root set whose start
 does not settle or that the certificate refuses raises ConvergenceFailure.
-The root product's error bound is read off the certified radii.
+A RootSet keeps those ints, which the root product and the Chebyshev tree
+count both read, each bounding its error by disk_gap and the radii.
 """
 
 from __future__ import annotations
@@ -49,17 +50,18 @@ MIN_PRECISION = 32
 
 @dataclass(frozen=True)
 class RootSet:
-    """The k+l-1 complex roots of R = trace_poly(k, l), sorted by (Re, Im).
+    """The k+l-1 roots of R = trace_poly(k, l) as ints at 2^-width, sorted by (Re, Im).
 
-    residual_bound is the largest |R(root)| after dividing R by its largest
-    coefficient, i.e. a backward-error figure for the whole set.  radii[i]
-    is a proved bound on the distance from roots[i] to a root of R, each
-    root of R counted once.
+    Root i is the pair (a, b) for (a + ib) 2^-width, and radii[i], at the
+    same scale, a proved bound on its distance from a root of R, each root
+    of R counted once.  residual_bound, an mpf, is the largest |R(root)|
+    after dividing R by its largest coefficient: a backward-error figure.
     """
 
+    width: int
     roots: tuple
-    residual_bound: object
     radii: tuple
+    residual_bound: object
 
 
 @dataclass(frozen=True)
@@ -238,8 +240,8 @@ def poly_roots(k: int, l: int, precision_bits: int = DEFAULT_PRECISION) -> RootS
     of the largest coefficient of R and guard = GUARD_BITS + c.  _certify
     then proves each root within its radius, at most 2^-(precision_bits +
     GUARD_BITS), of a distinct root, and real where its imaginary part is 0.
-    The roots are exact dyadics at 2^-W and radii holds their radii; the
-    residual is read off the certificate's exact values of R.  No root is
+    The RootSet keeps the roots and radii as these ints at 2^-W, unrounded;
+    the residual is read off the certificate's exact values of R.  No root is
     0: G(0) is 2, 8 or 14, so R(0) is -1, -4 or -7.  A start that does not
     settle, or a set the certificate refuses, raises ConvergenceFailure.
     """
@@ -261,51 +263,51 @@ def poly_roots(k: int, l: int, precision_bits: int = DEFAULT_PRECISION) -> RootS
     radii, norms = certified
     with mp.workprec(precision_bits + guard):
         residual = mpmath.ldexp(mpmath.sqrt(max(norms)), -(len(poly) - 1) * width) / scale
-    # the exact ints sort as the roots do by (Re, Im)
-    found = sorted((a, b, r) for (a, b), r in zip(roots, radii))
-    with mp.workprec(1 + max(abs(v).bit_length() for row in found for v in row)):
-        found = [[mp.mpf((v, -width)) for v in row] for row in found]
-        roots = tuple(mp.mpc(a, b) for a, b, _ in found)
-    return RootSet(roots, residual, tuple(r for _, _, r in found))
+    found = sorted(zip(roots, radii))
+    return RootSet(width, tuple(x for x, _ in found), tuple(r for _, r in found), residual)
+
+
+def disk_gap(a: int, b: int, radius: int, width: int) -> int:
+    """At most the distance from [-2, 2] to the disk of the radius about a + ib, all at 2^-width."""
+    off = max(abs(a) - (2 << width), 0)
+    return math.isqrt(off * off + b * b) - radius
 
 
 def mahler_constant(k: int, l: int, precision_bits: int = DEFAULT_PRECISION) -> RealApprox:
     """Product of the roots of spectral_poly(k, l) outside the unit circle.
 
-    Each root x of trace_poly(k, l) stands for the pair of roots
-    z = (x +- s)/2, s = sqrt(x^2 - 4), of spectral_poly, whose product is 1,
-    so the outer one contributes max(|z|, 1/|z|) with z = (x + s)/2.  The
-    double root at z = 1 is the known root x = 2 divided out of R.  A factor
-    within 2^(-precision_bits/4) of 1 (x on or near [-2, 2]) raises
-    ClassificationFailure.
+    A root x = z + 1/z of trace_poly(k, l) stands for the roots z, 1/z of
+    spectral_poly, the outer one contributing q = max(|z|, 1/|z|); z = 1 is
+    the root x = 2 divided out of R.  The parallelogram law on x and s =
+    z - 1/z, s^2 = x^2 - 4, gives m = (|x|^2 + |x^2 - 4|)/2 = |z|^2 + |z|^-2,
+    so q^2 = (m + sqrt(m^2 - 4))/2: two isqrt calls on x's ints at 2^-W (the
+    RootSet's width) and no branch to choose; value is sqrt(prod q^2).
 
-    The bound is value (2 sum rho/|s| + floor), floor = 2^-(precision_bits -
-    8), with rho the certified radius of x.  Between x and its root
-    d log z/dx = 1/s, and log max(|z|, 1/|z|) = |Re log z| moves no faster.
-    The margin gives |s| >= |z| - 1/|z| > 2^(-precision_bits/4), and |x| < 12
-    (|z| < 11 by Cauchy's bound on spectral_poly), so with rho <=
-    2^-(precision_bits + 64) the segment changes 1/|s| by a factor under
-    1 + 2^-60: each log factor moves by at most (1 + 2^-60) rho/|s|, and the
-    product by under twice their sum, relative.  Working precision_bits/4
-    bits beyond the usual 64 pays for 1/|s| magnifying the rounding of x and
-    s, so floor covers the rounding that is left.
+    The bound is value (2 S + 2^-(precision_bits - 8)), S = sum rho/gap with
+    rho a certified radius and gap its disk_gap: log q = |Re log z| moves
+    no faster than |d log z/dx| = 1/|s| and |s|^2 = |x - 2| |x + 2| >= gap^2
+    on the disk, so the product moves by a factor within exp(+-S), and
+    exp(S) - 1 <= 2 S for S <= 1/2.  A disk meeting [-2, 2] (the pair may
+    lie on the unit circle) or S > 1/2 raises ClassificationFailure.  As the
+    x with a given q lie within q - 1/q of [-2, 2], sqrt(m^2 - 4) = q^2 -
+    q^-2 >= 2 gap, so the two floors move q^2 by under 2^-(W - 6) of itself
+    (m < 150: |x| < 12, as |z| < 11 by Cauchy's bound on spectral_poly);
+    W >= precision_bits + 80, so the last term covers them and the final
+    square root at precision_bits + 64 bits.
     """
     rset = poly_roots(k, l, precision_bits)
-    with mp.workprec(precision_bits + 64 + precision_bits // 4):
-        margin = mp.mpf(2) ** (-(precision_bits // 4))
-        value = mp.mpf(1)
-        err_rel = mp.mpf(0)
-        for x, radius in zip(rset.roots, rset.radii, strict=True):
-            s = mpmath.sqrt(x * x - 4)
-            r = abs((x + s) / 2)
-            factor = max(r, 1 / r)
-            if factor <= 1 + margin:
-                raise ClassificationFailure(
-                    f"root pair of modulus {mpmath.nstr(r, 20)} too close to the unit circle"
-                )
-            value *= factor
-            err_rel += radius / abs(s)
-        bound = value * (2 * err_rel + mp.mpf(2) ** (-(precision_bits - 8)))
+    w, product, slack = rset.width, 1, 0  # slack is S at 2^-W, rounded up
+    for (a, b), radius in zip(rset.roots, rset.radii, strict=True):
+        gap = disk_gap(a, b, radius, w)
+        slack += -((-radius << w) // gap) if gap > 0 else 1 << w
+        if 2 * slack > 1 << w:
+            raise ClassificationFailure(f"a root disk nears [-2, 2] at {precision_bits} bits")
+        re, im = a * a - b * b - (4 << 2 * w), 2 * a * b
+        m = a * a + b * b + math.isqrt(re * re + im * im)  # 2 m at 2^-2W
+        product *= m + math.isqrt(m * m - (16 << 4 * w))  # 4 q^2 at 2^-2W
+    with mp.workprec(precision_bits + 64):
+        value = mpmath.sqrt(mpmath.ldexp(product, -len(rset.roots) * (2 * w + 2)))
+        bound = value * (mpmath.ldexp(slack, 1 - w) + mpmath.ldexp(1, 8 - precision_bits))
     return RealApprox(value, bound)
 
 

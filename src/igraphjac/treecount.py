@@ -12,7 +12,7 @@ resultant  - tau = n |det N_R| / (k^2 + l^2) with R = trace_poly(k, l), the
              default for large n.
 chebyshev  - tau = (-1)^((n-1)(k+l)) n prod (V_n(x) - 2)/(x - 2) over the
              certified roots x of R, with V_n from a Lucas ladder on the
-             roots' Gaussian fixed-point ints; returned only when its error
+             RootSet's Gaussian ints, never cut; returned only when its error
              bound proves the integer, a numerically independent cross-check.
 
 Every count tau is divisible by n, is at least n^3, and splits as
@@ -26,9 +26,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
 
-from mpmath.libmp import to_fixed
-
-from .asymptotics import DEFAULT_PRECISION, poly_roots
+from .asymptotics import DEFAULT_PRECISION, disk_gap, poly_roots
 from .bigmat import determinant
 from .errors import InternalInconsistency, NotASquare, PrecisionExhausted
 from .igraph import GraphParams, circulant_matrix
@@ -100,27 +98,26 @@ def _quotient_roots(k: int, l: int, precision_bits: int):
 def tree_count_chebyshev(p: GraphParams, precision_bits: int = DEFAULT_PRECISION) -> int:
     """tau from the Chebyshev closed formula on the certified roots of R, proved or refused.
 
-    With each root cut to a Gaussian int c at 2^-W, W = precision_bits + 64
-    + 2 bit_length(n), F = sign n prod (V_n(c) - 2)/prod (c - 2) is exact.
-    Per root, _lucas's bound e moves it by a relative e/|V_n(c) - 2|, and
-    the root of R within r of c (its radius plus 2 ulps for the cut) by
-    expm1(s), s = r (n - 1)/(dist(c, [-2, 2]) - r), as f(x) = (V_n(x) - 2)/
-    (x - 2) = prod_{0<j<n} (x - 2 cos(2 pi j/n)) has |f'/f| <= (n - 1)/dist.
-    With S the sum of both over the roots, tau is within |F| S/(1 - S) of
-    F; it is returned when that real interval holds one integer and the
-    imaginary part of F lies within the bound, else PrecisionExhausted
-    names the failed test.
+    Each root's ints are shifted, exactly, to a Gaussian int c at 2^-W,
+    W = max(the RootSet's width, precision_bits + 64 + 2 bit_length(n)), so
+    F = sign n prod (V_n(c) - 2)/prod (c - 2) is exact.  Per root, _lucas's
+    bound e moves it by a relative e/|V_n(c) - 2|, and the root of R within
+    the certified radius r of c by expm1(r (n - 1)/disk_gap(c, r)), as
+    f(x) = (V_n(x) - 2)/(x - 2) = prod_{0<j<n} (x - 2 cos(2 pi j/n)) has
+    |f'/f| <= (n - 1)/dist(x, [-2, 2]).  With S the sum of both over the
+    roots, tau is within |F| S/(1 - S) of F; it is returned when that real
+    interval holds one integer and the imaginary part of F lies within the
+    bound, else PrecisionExhausted names the failed test.
     """
     rset = _quotient_roots(p.k, p.l, precision_bits)
-    n, width = p.n, precision_bits + 64 + 2 * p.n.bit_length()
+    n, width = p.n, max(rset.width, precision_bits + 64 + 2 * p.n.bit_length())
     at = f" at {precision_bits} bits; increase precision_bits"
     unit, two = 1 << width, 2 << width
     # F's numerator ar + i ai (from sign n) and denominator dr + i di, and S at 2^-W
     ar, ai, dr, di, slack = -n if (n - 1) * (p.k + p.l) % 2 else n, 0, 1, 0, 0
-    for root, radius in zip(rset.roots, rset.radii, strict=True):
-        xr, xi = to_fixed(root.real._mpf_, width), to_fixed(root.imag._mpf_, width)
-        r, off = to_fixed(radius._mpf_, width) + 3, max(abs(xr) - two, 0)
-        gap = isqrt(off * off + xi * xi) - r  # at most dist(x, [-2, 2]) on the disk
+    for (xr, xi), r in zip(rset.roots, rset.radii, strict=True):
+        xr, xi, r = (v << (width - rset.width) for v in (xr, xi, r))
+        gap = disk_gap(xr, xi, r, width)  # at most dist(x, [-2, 2]) on the disk
         vr, vi, e = _lucas((xr, xi), n, width)
         vr -= two
         size = isqrt(vr * vr + vi * vi)  # at most |V_n(c) - 2|

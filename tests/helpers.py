@@ -16,7 +16,8 @@ size of the Z[x]/(R) the package now uses.  mahler_integral_mpf is the
 Mahler integral's trapezoidal rule with its chord table and node product
 in mpmath floats, where the package runs them on scaled ints.  Slow is
 fine; these only certify.  sixfold_rule_report is the diagnostic that tallies square
-decompositions by parity, and count_calls counts the calls a test pins.
+decompositions by parity, count_calls counts the calls a test pins, and
+as_mpc reads a RootSet's fixed-point roots as mpmath numbers.
 """
 
 from fractions import Fraction
@@ -613,6 +614,13 @@ def sixfold_rule_report(samples):
         "six_with_odd_sum": odd_sum_six,
         "odd_n_conflicts": conflicts,
     }
+
+
+def as_mpc(rset):
+    """The roots of a RootSet, pairs (a, b) standing for (a + ib) 2^-width, as exact mpc values."""
+    w = rset.width
+    with mpmath.workprec(1 + max(abs(v).bit_length() for root in rset.roots for v in root)):
+        return [mpmath.mpc(mpmath.ldexp(a, -w), mpmath.ldexp(b, -w)) for a, b in rset.roots]
 
 
 def count_calls(monkeypatch, module, name) -> list:

@@ -17,6 +17,7 @@ from igraphjac.asymptotics import (
     _newton,
     _node_product,
     asymptotic_ratio,
+    disk_gap,
     poly_roots,
 )
 from igraphjac.errors import (
@@ -39,6 +40,18 @@ def forbid_polyroots(monkeypatch):
         raise AssertionError("mpmath.polyroots called")
 
     monkeypatch.setattr(mpmath, "polyroots", refuse)
+
+
+def fake_roots(monkeypatch, width, roots, radii):
+    """Make mahler_constant's poly_roots return these (a, b) roots and radii at 2^-width."""
+    rset = RootSet(width, tuple(roots), tuple(radii), mpmath.mpf(0))
+    monkeypatch.setattr(igraphjac.asymptotics, "poly_roots", lambda k, l, precision_bits: rset)
+
+
+def outer_root(x):
+    """max(|z|, 1/|z|) for the pair z, 1/z with z + 1/z = x, in mpmath."""
+    z = (x + mpmath.sqrt(x * x - 4)) / 2
+    return max(abs(z), 1 / abs(z))
 
 
 def oracle_roots(poly, bits):
@@ -122,9 +135,9 @@ class TestPolyRoots:
         # a sign change of R across each exactly real root proves a real root
         # there; every other root is far off the axis, so none was missed
         trace = trace_poly(k, l)
-        rset = poly_roots(k, l, precision_bits=64)
-        real = [mpmath.re(z) for z in rset.roots if mpmath.im(z) == 0]
-        assert all(abs(mpmath.im(z)) > mpmath.mpf(2) ** -32 for z in rset.roots if mpmath.im(z))
+        roots = helpers.as_mpc(poly_roots(k, l, precision_bits=64))
+        real = [mpmath.re(z) for z in roots if mpmath.im(z) == 0]
+        assert all(abs(mpmath.im(z)) > mpmath.mpf(2) ** -32 for z in roots if mpmath.im(z))
         delta = Fraction(1, 2**40)
         for x in real:
             x = Fraction(int(mpmath.ldexp(x, 512)), 2**512)
@@ -141,7 +154,7 @@ class TestPolyRoots:
         bits = 128
         rset = poly_roots(k, l, bits)
         assert len(rset.radii) == len(rset.roots) == k + l - 1
-        assert all(0 < r <= mpmath.mpf(2) ** -(bits + GUARD_BITS) for r in rset.radii)
+        assert all(0 < r <= 1 << (rset.width - bits - GUARD_BITS) for r in rset.radii)
 
     @pytest.mark.parametrize("bits", [64, 128])
     def test_grid_certifies(self, monkeypatch, bits):
@@ -152,7 +165,7 @@ class TestPolyRoots:
         for k, l in cells:
             rset = poly_roots(k, l, bits)
             assert len(rset.radii) == k + l - 1
-            assert max(rset.radii) <= mpmath.mpf(2) ** -(bits + GUARD_BITS), (k, l)
+            assert max(rset.radii) <= 1 << (rset.width - bits - GUARD_BITS), (k, l)
 
     def test_unsettled_start_raises(self, monkeypatch):
         # one Aberth sweep leaves the start of R(5, 6) unsettled
@@ -224,7 +237,7 @@ class TestPolyRoots:
         tolerance = mpmath.mpf(2) ** -bits
         for k, l in sorted(expected_tables.GROWTH_4DP):
             trace = trace_poly(k, l)
-            roots = poly_roots(k, l, bits).roots
+            roots = helpers.as_mpc(poly_roots(k, l, bits))
             guard = GUARD_BITS + max(abs(c) for c in trace).bit_length()
             with mpmath.workprec(bits + guard):
                 unseeded = mpmath.polyroots(
@@ -294,37 +307,70 @@ class TestMahlerConstant:
         assert calls == [(2, 3, 64)] * 2
 
     def test_error_bound_reads_certified_radii(self, monkeypatch):
-        # radii of 2^-40 show in the bound value (2 sum rho/|s| + floor), far
-        # above its 2^-(bits - 8) floor; a radius short of its root raises
+        # radii of 2^-40 show in the bound value (2 sum rho/gap + floor), far
+        # above its 2^-(bits - 8) floor, with gap = dist(x, [-2, 2]) - rho
+        # taken here from mpmath; a radius short of its root raises
         bits = 128
         exact = mahler_constant(2, 3, bits)
-        roots = poly_roots(2, 3, bits).roots
-        radii = (mpmath.mpf(2) ** -40,) * len(roots)
-
-        def fake(radii):
-            return lambda k, l, precision_bits: RootSet(roots, mpmath.mpf(0), radii)
-
-        monkeypatch.setattr(igraphjac.asymptotics, "poly_roots", fake(radii))
+        rset = poly_roots(2, 3, bits)
+        radii = [1 << (rset.width - 40)] * len(rset.roots)
+        fake_roots(monkeypatch, rset.width, rset.roots, radii)
         loose = mahler_constant(2, 3, bits)
         assert loose.value == exact.value
         with mpmath.workprec(2 * bits):
-            spread = sum(1 / abs(mpmath.sqrt(x * x - 4)) for x in roots)
-            least = 2 * loose.value * spread * mpmath.mpf(2) ** -40
+            rho = mpmath.mpf(2) ** -40
+            gaps = [abs(x - min(max(mpmath.re(x), -2), 2)) - rho for x in helpers.as_mpc(rset)]
+            least = 2 * loose.value * sum(rho / gap for gap in gaps)
             floor = loose.value * mpmath.mpf(2) ** -(bits - 8)
             assert least <= loose.error_bound <= least * (1 + mpmath.mpf(2) ** -60) + floor
-        monkeypatch.setattr(igraphjac.asymptotics, "poly_roots", fake(radii[1:]))
+        fake_roots(monkeypatch, rset.width, rset.roots, radii[1:])
         with pytest.raises(ValueError):
             mahler_constant(2, 3, bits)
 
     def test_quotient_root_in_unit_interval_is_rejected(self, monkeypatch):
         # x = 1/2 lies in [-2, 2], so it maps to a pair of roots on the unit circle
-        def fake_roots(k, l, precision_bits):
-            radii = (mpmath.mpf(0), mpmath.mpf(0))
-            return RootSet((mpmath.mpc(3), mpmath.mpc("0.5")), mpmath.mpf(0), radii)
-
-        monkeypatch.setattr(igraphjac.asymptotics, "poly_roots", fake_roots)
+        w = 64
+        fake_roots(monkeypatch, w, [(3 << w, 0), (1 << (w - 1), 0)], [0, 0])
         with pytest.raises(ClassificationFailure):
             mahler_constant(1, 2)
+
+    def test_root_just_off_the_segment_is_classified(self, monkeypatch):
+        # x = 2 + 2^-20 stands for the pair q = 1 + 2^-10 + ..., 1/q, so close
+        # to the unit circle that a guessed 2^-(bits/4) margin refuses it at 32
+        # bits; its certified disk, 2^-20 from [-2, 2], places the pair off it
+        bits, w = 32, 128
+        near = (2 << w) + (1 << (w - 20))
+        fake_roots(monkeypatch, w, [(3 << w, 0), (near, 0)], [1, 1])
+        got = mahler_constant(1, 2, bits)
+        with mpmath.workprec(256):
+            want = outer_root(mpmath.mpf(3)) * outer_root(2 + mpmath.mpf(2) ** -20)
+            assert abs(got.value - want) <= got.error_bound <= got.value * mpmath.mpf(2) ** -23
+        assert mpmath.nstr(got.value, 6) == "2.62059"
+
+    @pytest.mark.parametrize("radius", [(1 << 44) - 1, 1 << 44, (1 << 44) + 1])
+    def test_disk_meeting_the_segment_raises(self, monkeypatch, radius):
+        # x = 2 + 2^-20 at 2^-64 is 2^44 units from [-2, 2]: a disk of that
+        # radius meets the segment, one a unit less nears it with rho/gap > 1/2
+        w = 64
+        fake_roots(monkeypatch, w, [(3 << w, 0), ((2 << w) + (1 << 44), 0)], [0, radius])
+        with pytest.raises(ClassificationFailure, match="a root disk nears"):
+            mahler_constant(1, 2, 32)
+
+    @pytest.mark.parametrize("extra,classified", [(0, True), (1, False)])
+    def test_bound_needs_rho_over_gap_within_a_half(self, monkeypatch, extra, classified):
+        # x = 3 lies 1 from [-2, 2], so S = rho/(1 - rho) reaches 1/2 at rho = 1/3
+        w = 64
+        fake_roots(monkeypatch, w, [(3 << w, 0)], [(1 << w) // 3 + extra])
+        if not classified:
+            with pytest.raises(ClassificationFailure):
+                mahler_constant(1, 1, 32)
+            return
+        got = mahler_constant(1, 1, 32)
+        with mpmath.workprec(128):
+            want = outer_root(mpmath.mpf(3))
+            assert abs(got.value - want) < got.value * mpmath.mpf(2) ** -90
+            assert got.value * mpmath.mpf("0.99") < got.error_bound
+            assert got.error_bound <= got.value * (1 + mpmath.mpf(2) ** -20)
 
     def test_repeated_root_raises(self, monkeypatch):
         # a root set the certificate refuses, as it refuses a repeated root,
@@ -343,11 +389,33 @@ class TestMahlerConstant:
                 mpmath.re((z + 1 / z) / 2) for z in zs if abs(z) > 1 + mpmath.mpf("1e-20")
             )
             expected = sorted_reals(ws)
-            xs = sorted_reals(poly_roots(2, 3, precision_bits=192).roots)
+            xs = sorted_reals(helpers.as_mpc(poly_roots(2, 3, precision_bits=192)))
             assert len(mapped) == len(expected) == len(xs) == 4
             for got, want, x in zip(mapped, expected, xs):
                 assert abs(got - want) < mpmath.mpf("1e-40")
                 assert abs(x - 2 * want) < mpmath.mpf("1e-40")
+
+
+class TestDiskGap:
+    def test_direct_cases(self):
+        w = 10
+        one = 1 << w
+        assert disk_gap(3 * one, 0, 0, w) == one  # x = 3 is 1 from the segment
+        assert disk_gap(-3 * one, 0, 5, w) == one - 5  # the same at -3, less the radius
+        assert disk_gap(one, -4 * one, 0, w) == 4 * one  # over the segment: |Im x|
+        assert disk_gap(3 * one, 4 * one, 0, w) == 4222  # 1024 sqrt(17) = 4222.1
+        assert disk_gap((2 << w) + 1, 0, 1, w) == 0  # a disk touching x = 2
+        assert disk_gap(one, 0, 0, w) == 0 and disk_gap(0, 1, 3, w) == -2  # on or meeting it
+
+    def test_lower_bound_on_the_distance(self):
+        w = 40
+        cases = [("2.5", "0.1", 7), ("-2.000001", "0", 0), ("0.3", "-1e-9", 1), ("-7", "3", 1000)]
+        for re, im, radius in cases:
+            a, b = (int(mpmath.ldexp(mpmath.mpf(v), w)) for v in (re, im))
+            with mpmath.workprec(3 * w):
+                x = mpmath.mpc(mpmath.ldexp(a, -w), mpmath.ldexp(b, -w))
+                dist = abs(x - min(max(mpmath.re(x), -2), 2)) * 2**w - radius
+            assert dist - 1 < disk_gap(a, b, radius, w) <= dist
 
 
 class TestMahlerIntegral:

@@ -2,7 +2,6 @@ import dataclasses
 import json
 import os
 
-import mpmath
 import pytest
 
 import igraphjac.jacobian
@@ -152,16 +151,16 @@ class TestTreesCommand:
         assert int(records[0]["tau"]) % 100 == 0
 
     def test_sweep_goes_on_past_failing_graphs(self, capsys):
-        # 32 bits stop sufficing for the Chebyshev count of (2,3) near n = 39
-        argv = ["trees", "--n", "30..45", "--k", "2", "--l", "3",
+        # 32 bits stop sufficing for the Chebyshev count of (2,3) at n = 47
+        argv = ["trees", "--n", "30..50", "--k", "2", "--l", "3",
                 "--method", "chebyshev", "--precision", "32", "--json"]
         code, records = run_json_lines(capsys, argv)
         assert code == EXIT_PRECISION
-        assert [rec["params"]["n"] for rec in records] == list(range(30, 46))
+        assert [rec["params"]["n"] for rec in records] == list(range(30, 51))
         assert "tau" in records[0]
         assert records[-1]["error"] == "PrecisionExhausted"
         # a single graph keeps its exit code and gets the same record
-        code, (rec,) = run_json_lines(capsys, argv[:2] + ["45"] + argv[3:])
+        code, (rec,) = run_json_lines(capsys, argv[:2] + ["50"] + argv[3:])
         assert code == EXIT_PRECISION
         assert rec["error"] == "PrecisionExhausted"
 
@@ -173,8 +172,8 @@ class TestTreesCommand:
 
         def moved(k, l, bits):
             rset = roots(k, l, bits)
-            with mpmath.workprec(1024):
-                return dataclasses.replace(rset, roots=tuple(x + mpmath.mpc(0, 2**-40) for x in rset.roots))
+            up = 1 << (rset.width - 40)
+            return dataclasses.replace(rset, roots=tuple((a, b + up) for a, b in rset.roots))
 
         monkeypatch.setattr(treecount, "_quotient_roots", moved)
         argv = ["trees", "--n", "60", "--k", "2", "--l", "3", "--method", "chebyshev", "--json"]
@@ -198,12 +197,13 @@ class TestTreesCommand:
         monkeypatch.setattr(cli, "tree_count_chebyshev", broken_at_31)
         code, records = run_json_lines(
             capsys,
-            ["trees", "--n", "30..45", "--k", "2", "--l", "3",
+            ["trees", "--n", "30..50", "--k", "2", "--l", "3",
              "--method", "chebyshev", "--precision", "32", "--json"],
         )
         assert code == EXIT_INCONSISTENT
         assert records[1]["error"] == "InternalInconsistency"
-        assert len(records) == 16
+        assert records[-1]["error"] == "PrecisionExhausted"
+        assert len(records) == 21
 
     def test_disagreeing_routes_give_error_records(self, capsys, monkeypatch):
         resultant = cli.tree_count_resultant

@@ -3,10 +3,12 @@
 Every exact route must agree on every graph: the ring-kernel routes with
 the Laplacian/Kirchhoff routes, and both with outside oracles (sympy's Smith
 normal form, networkx's spanning tree count) where those are installed.
-The Chebyshev count's Lucas ladder stays within its own rounding bound.
+The Chebyshev count's Lucas ladder and the root product's fixed-point
+squares stay within their own rounding bounds.
 """
 
 import math
+from unittest import mock
 
 import mpmath
 import pytest
@@ -19,6 +21,8 @@ from igraphjac import (
     tree_count_kirchhoff,
     tree_count_resultant,
 )
+import igraphjac.asymptotics
+from igraphjac.asymptotics import RootSet, disk_gap, mahler_constant
 from igraphjac.errors import InvalidParams
 from igraphjac.treecount import _lucas
 
@@ -83,3 +87,28 @@ def test_lucas_ladder_within_its_bound(re, im, n, bits):
         z = (c + mpmath.sqrt(c * c - 4)) / 2
         exact = (z**n + z**-n) * mpmath.mpf(2) ** width
         assert abs(mpmath.mpc(vr, vi) - exact) <= e
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    st.floats(-8, 8), st.floats(-8, 8), st.integers(-(2**20), 2**20), st.integers(0, 2), st.integers(0, 192)
+)
+def test_root_product_square_within_its_rounding(re, im, jitter, shape, bits):
+    # one root x off [-2, 2] as the whole root set: value^2 is q^2 =
+    # max(|z|, 1/|z|)^2 from two isqrt calls on x's ints at W bits, within
+    # 2^-(W - 6) of q^2 at 2W bits, plus the final sqrt's rounding at W + 64
+    # bits; shapes 1 and 2 put x within 2^20 units of [-2, 2], above it or
+    # beyond its end, where sqrt(m^2 - 4) magnifies the floors most
+    width = bits + 80
+    a = (2 << width) + abs(jitter) if shape == 2 else int(mpmath.ldexp(re, width))
+    b = jitter if shape == 1 else 0 if shape == 2 else int(mpmath.ldexp(im, width))
+    assume(disk_gap(a, b, 0, width) >= 1)
+    rset = RootSet(width, ((a, b),), (0,), mpmath.mpf(0))
+    with mock.patch.object(igraphjac.asymptotics, "poly_roots", lambda k, l, precision_bits: rset):
+        value = mahler_constant(1, 1, precision_bits=width).value
+    with mpmath.workprec(2 * width + 32):
+        x = mpmath.mpc(mpmath.ldexp(a, -width), mpmath.ldexp(b, -width))
+        z = (x + mpmath.sqrt(x * x - 4)) / 2
+        square = max(abs(z), 1 / abs(z)) ** 2
+        rounding = mpmath.mpf(2) ** -(width - 6) + mpmath.mpf(2) ** -(width + 60)
+        assert abs(value**2 / square - 1) <= rounding

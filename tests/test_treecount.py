@@ -1,7 +1,6 @@
 import dataclasses
 from math import gcd
 
-import mpmath
 import pytest
 
 import helpers
@@ -84,24 +83,27 @@ def test_q_ring_oracle(n, k, l):
 
 
 def test_chebyshev_needs_enough_bits():
-    # a count near 2.4e31 is more than roots certified at 32 bits can prove
-    p = GraphParams(45, 2, 3)
+    # a count near 6.9e34 (116 bits) is more than roots certified at 32 bits
+    # can prove; I(45,2,3)'s, near 2.3e31 (105 bits), is within their reach
     with pytest.raises(PrecisionExhausted):
-        tree_count_chebyshev(p, precision_bits=32)
+        tree_count_chebyshev(GraphParams(50, 2, 3), precision_bits=32)
+    p = GraphParams(45, 2, 3)
+    assert tree_count_chebyshev(p, precision_bits=32) == tree_count_resultant(p)
 
 
 @pytest.mark.parametrize("bits", [64, 128])
 @pytest.mark.parametrize("k,l", [(1, 2), (1, 3), (2, 3), (2, 5)])
 def test_chebyshev_refuses_counts_past_its_headroom(k, l, bits):
-    # the roots are certified to about bits + 64 bits, so counts in the band
-    # around that size are where a wrong integer could show (I(55,1,2) at 64
-    # bits rounded to one under a guessed rule); every count there must be
-    # right or refused, and the band holds both
+    # the roots are certified to about bits + 64 bits and read uncut, so
+    # counts in the band around that size are where a wrong integer could show
+    # (I(55,1,2) at 64 bits rounded to one under a guessed rule); every count
+    # there must be right or refused, and the band holds both: proofs reach
+    # bits + 72 to bits + 76, refusals start at bits + 74 to bits + 78
     accepted = refused = 0
     for n in range(l + 1, 1000):
         p = GraphParams(n, k, l)
         tau = tree_count_resultant(p)
-        if tau.bit_length() > bits + 72:
+        if tau.bit_length() > bits + 88:
             break
         if tau.bit_length() < bits + 24:
             continue
@@ -138,7 +140,7 @@ def test_chebyshev_refuses_an_interval_with_several_integers(monkeypatch, shift,
     # its interval, radii of 2^-244 leave one
     p = GraphParams(100, 2, 3)
     rset = igraphjac.treecount._quotient_roots(2, 3, 256)
-    wide = dataclasses.replace(rset, radii=tuple(mpmath.ldexp(1, shift) for _ in rset.radii))
+    wide = dataclasses.replace(rset, radii=tuple(1 << (rset.width + shift) for _ in rset.radii))
     monkeypatch.setattr(igraphjac.treecount, "_quotient_roots", lambda k, l, bits: wide)
     if accepted:
         assert tree_count_chebyshev(p) == tree_count_resultant(p)
@@ -149,12 +151,12 @@ def test_chebyshev_refuses_an_interval_with_several_integers(monkeypatch, shift,
 
 def test_chebyshev_refuses_a_wide_ladder_bound(monkeypatch):
     # the ladder's rounding bound enters the proof as the radii do: widened
-    # 2^96-fold it spreads I(100,2,3)'s interval over 15 integers
+    # 2^106-fold it spreads I(100,2,3)'s interval over 15 integers
     lucas = igraphjac.treecount._lucas
 
     def widened(x, n, width):
         vr, vi, e = lucas(x, n, width)
-        return vr, vi, e << 96
+        return vr, vi, e << 106
 
     monkeypatch.setattr(igraphjac.treecount, "_lucas", widened)
     with pytest.raises(PrecisionExhausted, match="count interval holds 15 integers"):
@@ -163,13 +165,14 @@ def test_chebyshev_refuses_a_wide_ladder_bound(monkeypatch):
 
 def test_chebyshev_accepts_the_sweep_counts():
     # sweep-crosscheck's Chebyshev leg retries a refused count at 512 bits, so
-    # a proof looser than the guessed rule it replaced would cost retries:
-    # that rule accepted n <= 125 at 256 bits, and every n at 512
+    # a looser proof would cost retries: at 256 bits both cells are proved to
+    # n = 140 (a ladder that cut the roots below their certified width
+    # stopped (3,4) at 135), and every n at 512
     for k, l in ((2, 3), (3, 4)):
         for n in range(90, 215, 5):
             p = GraphParams(n, k, l)
             tau = tree_count_resultant(p)
-            if n <= 125:
+            if n <= 140:
                 assert tree_count_chebyshev(p, precision_bits=256) == tau
             assert tree_count_chebyshev(p, precision_bits=512) == tau
 
