@@ -8,10 +8,13 @@ normal form, over Z or modulo a multiple D of the largest invariant factor
 smallest-pivot selection and one Bezout 2 x 2 step wherever the pivot does
 not divide an entry.  Modulo D it works in Z/mZ, m | D, where any
 operation invertible modulo m keeps the cokernel, and each step divides
-out the content the block shares with m, pivots on a unit with no Bezout
-step, or, on a block with content 1 but no unit, takes one Bezout step.
-One gcd/lcm pass then orders the diagonal into a divisibility chain.  No
-floating point.
+out the content the block shares with m, clears a column below a unit
+pivot with one product pair and one residue an entry, or, on a block with
+content 1 but no unit, takes one Bezout step.  The companion Jacobian
+hands it only small blocks modulo D: the block where Euclid's algorithm in
+(Z/D)[z] stalls, modulo the part of D made of small primes (entries of a
+few dozen bits) or modulo the rest (a few rows).  One gcd/lcm pass then
+orders the diagonal into a divisibility chain.  No floating point.
 """
 
 from __future__ import annotations
@@ -240,64 +243,30 @@ def _find_unit(a, t, nr, nc, m):
     return None, c
 
 
-def _clear_column(a, t, nr, m, prev) -> int:
-    """Zero column t below the unit pivot a[t][t] by row operations modulo m;
-    return the prev of the next step.
-
-    While prev > 0 row i becomes (piv * row_i - v * row_t) / prev, the
-    Bareiss step: from the last step with prev = 1 on, every entry is a
-    minor of that step's block, so the division is exact and the entries
-    grow by the bits of one original entry a step rather than doubling.
-    A row with an entry that reaches m in magnitude is reduced, and then the
-    next prev is 0: the entries are residues of m's size, and row i becomes
-    either piv * row_i - v * row_t (two products an entry) or row_i - w *
-    row_t with w = v / piv mod m (one product an entry, one w a row and one
-    inverse a step).  On random residues of 160 to 23 000 bits an inverse
-    pow(piv, -1, m) costs 85-125 times what the second form saves on an
-    entry, and a w about 3 times, so the inverse is taken once the rows
-    times (columns - 3) to update pass 100.  Column t itself is never read
-    again, so it is left as it is.
-    """
+def _clear_column(a, t, nr, m):
+    """Zero column t below the unit pivot a[t][t] modulo m: row i becomes
+    piv * row_i - v * row_t, which scales it by a unit at most.  Column t
+    itself is never read again, so it is left as it is."""
     rt = a[t]
     piv = rt[t]
     tail = rt[t + 1:]
-    if prev:
-        nxt = piv
-        for ri in a[t + 1:nr]:
-            v = ri[t]
-            row = [(piv * x - v * y) // prev for x, y in zip(ri[t + 1:], tail)]
-            if row and (max(row) >= m or min(row) <= -m):
-                row = [x % m for x in row]
-                nxt = 0
-            ri[t + 1:] = row
-        return nxt
-    rows = [ri for ri in a[t + 1:nr] if ri[t]]
-    if len(rows) * (len(tail) - 3) > 100:
-        inv = pow(piv, -1, m)
-        for ri in rows:
-            w = ri[t] * inv % m
-            ri[t + 1:] = [(x - w * y) % m for x, y in zip(ri[t + 1:], tail)]
-    else:
-        for ri in rows:
-            v = ri[t]
+    for ri in a[t + 1:nr]:
+        v = ri[t]
+        if v:
             ri[t + 1:] = [(piv * x - v * y) % m for x, y in zip(ri[t + 1:], tail)]
-    return 0
 
 
 def _diagonal_mod(a, nr, nc, m) -> list[int]:
     """A diagonal of [a | m * I] by the three moves of smith_normal_form.
 
     The factors still to find are scale times those of the block a[t:, t:]
-    modulo m, and scale * m stays the original modulus.  Moves (1) and (3)
-    change the block outside a Bareiss step, so the next unit pivot starts a
-    new Bareiss chain with prev = 1.
+    modulo m, and scale * m stays the original modulus.
     """
     for row in a:
         _reduce(row, 0, m)
     size = min(nr, nc)
     diag = []
     scale = 1
-    prev = 1
     t = 0
     while t < size and m > 1:
         at, g = _find_unit(a, t, nr, nc, m)
@@ -306,19 +275,17 @@ def _diagonal_mod(a, nr, nc, m) -> list[int]:
             m //= g
             for row in a[t:]:
                 row[t:] = [x // g for x in row[t:]]
-            prev = 1
             continue
         if at is None:
             _move_smallest_pivot(a, t, nr, nc)
             diag.append(scale * gcd(_clear_cross(a, t, nr, nc, m), m))
-            prev = 1
         else:
             i, j = at
             a[t], a[i] = a[i], a[t]
             if j != t:
                 for row in a[t:]:
                     row[t], row[j] = row[j], row[t]
-            prev = _clear_column(a, t, nr, m, prev)
+            _clear_column(a, t, nr, m)
             diag.append(scale)
         t += 1
     diag.extend([scale] * (size - len(diag)))
@@ -370,6 +337,13 @@ def smith_normal_form(m: IntMatrix, modulus: int = 0) -> tuple[int, ...]:
                 break
             diag.append(_clear_cross(a, t, nr, nc, 0))
         diag.extend([0] * (size - len(diag)))
+    return _chain(diag)
+
+
+def _chain(diag: list[int]) -> tuple[int, ...]:
+    """The divisibility chain of a diagonal: each pair (d_i, d_j), i < j,
+    becomes (gcd, lcm), so zeros go last since lcm(0, d) = 0."""
+    size = len(diag)
     for i in range(size):
         for j in range(i + 1, size):
             if diag[i] == 1:

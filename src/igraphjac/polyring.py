@@ -11,7 +11,9 @@ I(n, k, l).  P is palindromic, so the paper's substitution x = z + 1/z
 halves it: P = (x - 2) R(x) with R = trace_poly(k, l), monic of degree
 k+l-1.  The Jacobian works in Z[z]/(P): presentation_matrix reduces z^n mod
 P by square-and-multiply and returns the matrix of multiplication by
-z^n - 1, whose cokernel is the Jacobian group.  The tree count works in
+z^n - 1, whose cokernel is the Jacobian group, or modulo D the block where
+Euclid's algorithm on (P, z^n - 1) over Z/D stalls; presentation_factors
+takes that block's Smith form itself.  The tree count works in
 Z[x]/(R): lucas_matrix reduces V_n(x) = z^n + z^-n mod R by the Lucas
 ladder and returns the matrix of multiplication by V_n - 2, whose
 determinant gives the count.  Both floating-point routes (the Chebyshev
@@ -20,7 +22,10 @@ tree count and the growth constant) take the roots of R.
 
 from __future__ import annotations
 
-from .bigmat import IntMatrix
+from functools import lru_cache
+from math import gcd
+
+from .bigmat import IntMatrix, _chain, _diagonal_mod
 from .errors import InternalInconsistency, InvalidParams, check_int, check_steps
 
 
@@ -123,23 +128,95 @@ def _multiplication_matrix(r: list[int], f: tuple[int, ...]) -> IntMatrix:
     return IntMatrix([list(row) for row in zip(*cols)])
 
 
-def presentation_matrix(f, n: int) -> IntMatrix:
+@lru_cache(maxsize=1)
+def _power_minus_one(f: tuple[int, ...], n: int) -> tuple[int, ...]:
+    """z^n - 1 mod monic f by square-and-multiply, O(log n) products whatever
+    the size of n; kept once, as both moduli of one graph start from it."""
+    r = [1] + [0] * (len(f) - 2)
+    for bit in bin(n)[2:]:
+        r = _mul(r, r, f)
+        if bit == "1":
+            r = _times_z(r, f)
+    r[0] -= 1
+    return tuple(r)
+
+
+def _prem(f: list[int], g: list[int], m: int) -> list[int]:
+    """Pseudo-remainder c^(deg f - deg g + 1) f mod g modulo m, c = lc(g): no inverse."""
+    c = g[-1]
+    low = g[:-1]
+    r = f[:]
+    for top in range(len(f) - 1, len(low) - 1, -1):
+        t = r.pop()
+        base = top - len(low)
+        r[:base] = [c * x % m for x in r[:base]]
+        r[base:] = [(c * x - t * y) % m for x, y in zip(r[base:], low)]
+    return r
+
+
+def _shift(g: list[int], f: list[int], m: int) -> list[int]:
+    """lc(f) z g mod f modulo m, len(g) = deg f: a unit times z g mod f while lc(f) is one."""
+    top = g[-1]
+    return [(f[-1] * x - top * y) % m for x, y in zip([0] + g[:-1], f)]
+
+
+def _euclid_block(f: tuple[int, ...], g, m: int) -> list[list[int]]:
+    """Rows of a block whose cokernel modulo m is (Z/m)[z]/(f, g), f monic.
+
+    While lc(g) is a unit modulo m, (f, g) becomes (g, prem(f, g)): the
+    module stays, and (Z/m)[z]/(g) is free of rank deg g.  Where f(0) is a
+    unit so is z modulo f, and up to deg f shifts z^j g mod f look for a
+    unit on top.  Where none has one, or g = 0, the block is multiplication
+    by g on (Z/m)[z]/(f), each column z^j g mod f times the unit lc(f)^j, so
+    no inverse is taken: deg f rows, none once the module is 0.
+    """
+    f = [c % m for c in f]
+    g = [c % m for c in g]
+    shifts = 0
+    while True:
+        while g and not g[-1]:
+            g.pop()
+        if g and gcd(g[-1], m) == 1:
+            f, g, shifts = g, _prem(f, g, m), 0
+            continue
+        stuck = not g or shifts == len(f) - 1 or gcd(f[0], m) > 1
+        g += [0] * (len(f) - 1 - len(g))
+        if stuck:
+            cols = [g]
+            for _ in range(len(g) - 1):
+                cols.append(_shift(cols[-1], f, m))
+            return [list(row) for row in zip(*cols)]
+        g = _shift(g, f, m)
+        shifts += 1
+
+
+def presentation_matrix(f, n: int, modulus: int = 0) -> IntMatrix:
     """Matrix of multiplication by z^n - 1 on Z[z]/(f), for monic f.
 
     Column j holds the coefficients of (z^n - 1) z^j mod f in the basis
     1, z, ..., z^(deg f - 1), so the cokernel is Z[z]/(f, z^n - 1) and the
     determinant is Res(f, z^n - 1), the product of a^n - 1 over the roots a
-    of f.  z^n mod f comes from square-and-multiply: O(log n) products of
-    polynomials of degree below deg f, whatever the size of n.
+    of f.  Given a modulus m > 0 it is instead the block B where Euclid's
+    algorithm on (f, z^n - 1) over Z/m stalls, deg f rows or fewer (a 1 x 1
+    identity for none): [B | m I] has the cokernel of [M | m I], so their
+    Smith forms modulo m differ only in leading ones.
     """
     coeffs = _monic_coeffs(f, n)
-    r = [1] + [0] * (len(coeffs) - 2)
-    for bit in bin(n)[2:]:
-        r = _mul(r, r, coeffs)
-        if bit == "1":
-            r = _times_z(r, coeffs)
-    r[0] -= 1
-    return _multiplication_matrix(r, coeffs)
+    check_int("modulus", modulus, 0)
+    r = _power_minus_one(coeffs, n)
+    if not modulus:
+        return _multiplication_matrix(list(r), coeffs)
+    return IntMatrix(_euclid_block(coeffs, r, modulus) or [[1]])
+
+
+def presentation_factors(f, n: int, modulus: int) -> tuple[int, ...]:
+    """gcd(d_i, modulus) for the deg f invariant factors d_i of Z[z]/(f, z^n - 1),
+    monic f, from bigmat's modular diagonal of presentation_matrix's block."""
+    coeffs = _monic_coeffs(f, n)
+    check_int("modulus", modulus, 1)
+    rows = _euclid_block(coeffs, _power_minus_one(coeffs, n), modulus)
+    e = len(rows)
+    return (1,) * (len(coeffs) - 1 - e) + _chain(_diagonal_mod(rows, e, e, modulus))
 
 
 def lucas_matrix(f, n: int) -> IntMatrix:

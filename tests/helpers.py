@@ -26,8 +26,9 @@ from math import gcd
 import mpmath
 
 from igraphjac import presentation_matrix, spectral_poly
-from igraphjac.bigmat import IntMatrix, determinant
+from igraphjac.bigmat import IntMatrix, _chain, _diagonal_mod, determinant, smith_normal_form
 from igraphjac.errors import InvalidParams
+from igraphjac.polyring import _euclid_block
 
 
 def identity(n):
@@ -634,3 +635,29 @@ def count_calls(monkeypatch, module, name) -> list:
 
     monkeypatch.setattr(module, name, counted)
     return calls
+
+
+def multiplication_by(g, f):
+    """Rows of multiplication by g on Z[z]/(f), f monic, by long division in the test."""
+    d = len(f) - 1
+    cols = []
+    for j in range(d):
+        r = [0] * j + list(g) + [0] * d
+        for top in range(len(r) - 1, d - 1, -1):
+            c = r[top]
+            for i, fc in enumerate(f):
+                r[top - d + i] -= c * fc
+        cols.append(r[:d])
+    return [list(row) for row in zip(*cols)]
+
+
+def pair_factors(f, g, m):
+    """Factors modulo m of (Z/m)[z]/(f, g) as presentation_factors takes them."""
+    rows = _euclid_block(tuple(f), g, m)
+    e = len(rows)
+    return (1,) * (len(f) - 1 - e) + _chain(_diagonal_mod(rows, e, e, m))
+
+
+def pair_factors_over_z(f, g, m):
+    """The same factors from the Smith form over Z of multiplication by g."""
+    return tuple(gcd(d, m) for d in smith_normal_form(IntMatrix(multiplication_by(g, f))))

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 import helpers
 import igraphjac.bigmat
 import igraphjac.jacobian
+import igraphjac.polyring
 from igraphjac import (
     DENSE_CEILING,
     jacobian_via_companion,
@@ -101,6 +103,21 @@ def _count_smith_calls(monkeypatch) -> list[int]:
     return moduli
 
 
+SMALL_PRIMES = math.prod(q for q in range(2, 1 << 10) if all(q % r for r in range(2, q)))
+
+
+def _assert_small_part(small, modulus, known):
+    # the Smith form sees Ds: Ds times its coprime part Dc is the modulus,
+    # Dc shares no prime with known or below 2^10, and Ds has no other prime
+    large, rest = divmod(modulus, small)
+    assert rest == 0
+    assert math.gcd(large, known * SMALL_PRIMES) == 1
+    rest = small
+    while (g := math.gcd(rest, known * SMALL_PRIMES)) > 1:
+        rest //= g
+    assert rest == 1
+
+
 @pytest.mark.parametrize("params,torsion", KNOWN_GROUPS)
 def test_companion_falls_back_to_tau(monkeypatch, params, torsion):
     # D = multiplier * n with a = 1 is too small: the second try, modulo
@@ -111,13 +128,17 @@ def test_companion_falls_back_to_tau(monkeypatch, params, torsion):
     monkeypatch.setattr(igraphjac.jacobian, "decompose", split_with_a_one)
     moduli = _count_smith_calls(monkeypatch)
     assert jacobian_via_companion(params).torsion == torsion
-    assert moduli[-1] == tree_count_resultant(params)
+    tau = tree_count_resultant(params)
+    known = decompose(tau, params).multiplier * params.n
     assert len(moduli) == 2
+    _assert_small_part(moduli[0], known, known)
+    _assert_small_part(moduli[-1], tau, known)
 
 
 def test_companion_takes_one_smith_form_per_graph(monkeypatch):
     # D = multiplier * n * a was a multiple of the exponent on every graph
-    # tried, so the fallback modulo tau never runs
+    # tried, so the fallback modulo tau never runs, and the one Smith form
+    # per graph is taken modulo the small-prime part Ds of D
     graphs = [(n, k, k + 1) for k in range(1, 6) for n in range(3, 81)]
     graphs += [(940, 2, 3), (540, 3, 4), (140, 4, 5)]
     moduli = _count_smith_calls(monkeypatch)
@@ -130,9 +151,69 @@ def test_companion_takes_one_smith_form_per_graph(monkeypatch):
         dec = decompose(tree_count_resultant(p), p)
         exponent = jacobian_via_companion(p).torsion[-1]
         computed += 1
-        assert moduli[-1] == dec.multiplier * p.n * dec.a
-        assert moduli[-1] % exponent == 0
+        modulus = dec.multiplier * p.n * dec.a
+        _assert_small_part(moduli[-1], modulus, dec.multiplier * p.n)
+        assert modulus % exponent == 0
     assert len(moduli) == computed > 300
+
+
+def test_split_by_gcds():
+    # 1031 and 1033 lie above 2^10, so only the one that divides the known
+    # part joins Ds
+    assert igraphjac.jacobian._split(8 * 9 * 1031**2 * 1033, 1033) == (8 * 9 * 1033, 1031**2)
+    assert igraphjac.jacobian._split(2**5 * 1021, 1) == (2**5 * 1021, 1)
+
+
+def test_modulus_of_small_primes_is_a_plain_smith_form(monkeypatch):
+    # tau(I(12,3,4)) has only primes below 2^10: Dc = 1, so the Euclid side
+    # adds only ones and the Smith form modulo Ds = D gives the group
+    p = GraphParams(12, 3, 4)
+    dec = decompose(tree_count_resultant(p), p)
+    modulus = dec.multiplier * p.n * dec.a
+    assert igraphjac.jacobian._split(modulus, dec.multiplier * p.n) == (modulus, 1)
+    moduli = _count_smith_calls(monkeypatch)
+    large = helpers.count_calls(monkeypatch, igraphjac.jacobian, "presentation_factors")
+    assert jacobian_via_companion(p).torsion == (11, 11, 209, 2508)
+    assert moduli == [modulus]
+    assert [args[2] for args in large] == [1]
+
+
+def test_euclid_witnessed_above_the_gate(monkeypatch):
+    # past LAPLACIAN_GATE the Dc side is Euclid's algorithm on every graph,
+    # and the dense route over Z shares none of it
+    prem = helpers.count_calls(monkeypatch, igraphjac.polyring, "_prem")
+    large = helpers.count_calls(monkeypatch, igraphjac.jacobian, "presentation_factors")
+    graphs = 0
+    for k, l in ((2, 5), (3, 4), (4, 5)):
+        for n in range(LAPLACIAN_GATE + 1, 101):
+            try:
+                p = normalize(n, k, l)
+            except InvalidParams:
+                continue
+            graphs += 1
+            assert jacobian_via_companion(p) == jacobian_via_laplacian(p), p
+    assert graphs == len(large) == 120
+    assert all(args[2] > 1 for args in large)
+    assert len(prem) > 10 * graphs
+
+
+@pytest.mark.parametrize(
+    "n, k, l, small, digest",
+    [
+        (20000, 3, 4, (32, 202944, 126840000),
+         "d3aa7ad75d1559083c0a314fe4da2dcc5e1b72c9db9700109b3ee899b582131f"),
+        (2000, 7, 9, (8, 224, 224, 448, 56000),
+         "436025e398cf728c6f7f1c1393ab1545893474a2e76c4ea719c6b53c60aad151"),
+    ],
+    ids=["I(20000,3,4)", "I(2000,7,9)"],
+)
+def test_large_n_torsion_pinned(n, k, l, small, digest):
+    # the dense Smith form modulo D gave these groups; the two largest
+    # factors have 23216 and 2349-2350 bits, so they are pinned by a digest
+    torsion = jacobian_via_companion(GraphParams(n, k, l)).torsion
+    assert torsion[: len(small)] == small
+    assert len(torsion) == len(small) + 2
+    assert hashlib.sha256(",".join(map(hex, torsion)).encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("n, fallback_steps", [(1000, 0), (940, 1)])

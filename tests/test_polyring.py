@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -17,8 +18,10 @@ from helpers import (
     resultant,
     trim,
 )
+import igraphjac.polyring as polyring
 from igraphjac import lucas_matrix, presentation_matrix, spectral_poly, trace_poly
-from igraphjac.bigmat import IntMatrix, determinant
+from igraphjac.bigmat import IntMatrix, determinant, smith_normal_form
+from igraphjac.polyring import presentation_factors
 from igraphjac.errors import InvalidParams
 
 SAMPLE_PAIRS = [(1, 1), (1, 2), (2, 3), (3, 4), (2, 5), (4, 5)]
@@ -170,6 +173,58 @@ class TestPresentationMatrix:
         for f in ((1.0, 1), (True, 1), (1, 1, 0)):
             with pytest.raises(InvalidParams):
                 presentation_matrix(f, 3)
+
+
+class TestEuclidBlock:
+    """One case per way the pair reduction ends, each against the Smith form
+    over Z of multiplication by g."""
+
+    def test_zero_leaves_every_factor_the_modulus(self):
+        # g = 0 modulo 7: the block is the zero 2 x 2 matrix
+        f, g = (1, 0, 1), [7, 14]
+        assert polyring._euclid_block(f, g, 7) == [[0, 0], [0, 0]]
+        assert helpers.pair_factors(f, g, 7) == (7, 7) == helpers.pair_factors_over_z(f, g, 7)
+
+    def test_unit_constant_leaves_ones(self):
+        f = (3, -1, 0, 1)
+        assert polyring._euclid_block(f, [5], 7) == []
+        assert helpers.pair_factors(f, [5], 7) == (1,) * 3 == helpers.pair_factors_over_z(f, [5], 7)
+        # z - 1 = 1 modulo z - 2: presentation_matrix hands over a 1 x 1 identity
+        assert presentation_matrix((-2, 1), 1, 5).to_lists() == [[1]]
+
+    def test_shift_brings_a_unit_on_top(self):
+        # lc(2z + 1) = 2 is no unit modulo 10, but f(0) = 1 is: z g mod f =
+        # z - 2 has lc 1, so Euclid goes on and only a 1 x 1 block is left
+        f, g = (1, 0, 1), [1, 2]
+        assert polyring._euclid_block(f, g, 10) == [[5]]
+        assert helpers.pair_factors(f, g, 10) == (1, 5) == helpers.pair_factors_over_z(f, g, 10)
+
+    def test_stall_hands_the_block_to_the_matrix(self):
+        # f(0) = 2 and lc(g) = 2 are no units modulo 6: no shift is tried
+        f, g = (2, 0, 1), [1, 2]
+        assert len(polyring._euclid_block(f, g, 6)) == 2
+        assert helpers.pair_factors(f, g, 6) == (1, 3) == helpers.pair_factors_over_z(f, g, 6)
+
+    def test_modulus_one_gives_ones(self):
+        f = spectral_poly(3, 4)
+        assert presentation_factors(f, 500, 1) == (1,) * 14
+
+    @pytest.mark.parametrize("k,l,n", [(2, 3, 25), (3, 4, 41), (4, 5, 60)])
+    def test_factors_are_the_smith_form_modulo_the_modulus(self, k, l, n):
+        f = spectral_poly(k, l)
+        full = smith_normal_form(presentation_matrix(f, n))
+        for modulus in (2**5 * 3**2, 1031 * 1033, math.prod(d for d in full if d)):
+            expected = tuple(math.gcd(d, modulus) for d in full)
+            assert presentation_factors(f, n, modulus) == expected
+            block = smith_normal_form(presentation_matrix(f, n, modulus), modulus=modulus)
+            assert (1,) * (len(full) - len(block)) + block == expected
+
+    def test_rejects_a_modulus_below_one(self):
+        for modulus in (0, -5, True):
+            with pytest.raises(InvalidParams):
+                presentation_factors((1, 1), 3, modulus)
+        with pytest.raises(InvalidParams):
+            presentation_matrix((1, 1), 3, -1)
 
 
 class TestTracePoly:

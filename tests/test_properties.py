@@ -4,7 +4,8 @@ Every exact route must agree on every graph: the ring-kernel routes with
 the Laplacian/Kirchhoff routes, and both with outside oracles (sympy's Smith
 normal form, networkx's spanning tree count) where those are installed.
 The Chebyshev count's Lucas ladder and the root product's fixed-point
-squares stay within their own rounding bounds.
+squares stay within their own rounding bounds, and the Euclid pair
+reduction modulo m gives the Smith form over Z modulo m.
 """
 
 import math
@@ -61,6 +62,37 @@ def test_jacobian_routes_agree(raw):
         factors = [abs(int(diag[i, i])) for i in range(diag.rows)]
         assert factors.count(0) == group.free_rank
         assert tuple(d for d in factors if d > 1) == group.torsion
+
+
+# moduli that mix the small primes, on which Euclid's algorithm stalls,
+# with one above 2^10, on which it mostly runs through
+MODULI = st.builds(
+    lambda a, b, c, e, big: 2**a * 3**b * 5**c * 7**e * big,
+    st.integers(0, 3),
+    st.integers(0, 2),
+    st.integers(0, 1),
+    st.integers(0, 1),
+    st.sampled_from([1, 1031, 65537, 2**61 - 1]),
+).filter(lambda m: m > 1)
+
+
+@st.composite
+def _pairs(draw):
+    d = draw(st.integers(1, 6))
+    middle = draw(st.lists(st.integers(-9, 9), min_size=d - 1, max_size=d - 1))
+    f = [draw(st.sampled_from([1, -1]))] + middle
+    g = draw(st.lists(st.integers(-10**4, 10**4), max_size=d - 1))
+    return tuple(f + [1]), g + [draw(st.integers(1, 10**4))]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_pairs(), MODULI)
+def test_pair_reduction_matches_the_smith_form(pair, m):
+    # monic f with f(0) = +-1 makes z a unit modulo f, so the shifts run;
+    # the factors must be gcd(d_i, m) for the Smith form over Z of
+    # multiplication by g on Z[z]/(f)
+    f, g = pair
+    assert helpers.pair_factors(f, g, m) == helpers.pair_factors_over_z(f, g, m)
 
 
 @settings(derandomize=True, max_examples=30, deadline=None)
