@@ -18,6 +18,7 @@ certified: Gerschgorin disks built from exact Weierstrass corrections prove
 that each polished root is within its radius, at most
 2^-(precision_bits + 64), of its own distinct root.  A root set whose start
 does not settle or that the certificate refuses raises ConvergenceFailure.
+As R is real, each conjugate pair is polished, certified and evaluated once.
 A RootSet keeps those ints, which the root product and the Chebyshev tree
 count both read, each bounding its error by disk_gap and the radii.
 """
@@ -54,8 +55,9 @@ class RootSet:
 
     Root i is the pair (a, b) for (a + ib) 2^-width, and radii[i], at the
     same scale, a proved bound on its distance from a root of R, each root
-    of R counted once.  residual_bound, an mpf, is the largest |R(root)|
-    after dividing R by its largest coefficient: a backward-error figure.
+    of R counted once; (a, -b) is then a root too, with the same radius.
+    residual_bound, an mpf, is the largest |R(root)| after dividing R by its
+    largest coefficient: a backward-error figure.
     """
 
     width: int
@@ -146,14 +148,18 @@ def _newton(coeffs: list[int], start: list, width: int, tol: int) -> list | None
     product, as in _node_product.  A root stops once its correction is at
     most tol units, and an imaginary part of at most tol units then becomes
     exactly 0 (_certify proves such a root real or declines).  As p is real,
-    the roots below the real axis are then replaced by the conjugates of
-    those above it, so each pair shares its real part exactly.  None means
-    a correction did not shrink, p' vanished, a root had not stopped after
-    width.bit_length() steps (enough for a start good to 2^-8), or the roots
-    above and below the axis do not pair up.
+    the conjugates of the roots above the axis stand for those below, so a
+    start below whose conjugate is within 2^-20 max(1, |u|) of a start u
+    above is skipped; one with no such partner is polished, only to be
+    counted.  None means a correction did not shrink, p' vanished, a root had
+    not stopped after width.bit_length() steps (enough for a start good to
+    2^-8), or the roots do not pair up.
     """
+    tops = [u for u in start if u.imag > 0]
     out = []
     for z in start:
+        if z.imag < 0 and any(abs(z.conjugate() - u) <= 2**-20 * max(1, abs(u)) for u in tops):
+            continue
         a = int(mpmath.ldexp(z.real, width))
         b = int(mpmath.ldexp(z.imag, width))
         last = math.inf
@@ -179,11 +185,11 @@ def _newton(coeffs: list[int], start: list, width: int, tol: int) -> list | None
             return None
         out.append((a, 0 if abs(b) <= tol else b))
     # p is real: each lower root is the conjugate of an upper one, exactly
+    real = [r for r in out if not r[1]]
     upper = [(a, b) for a, b in out if b > 0]
-    lower = sum(b < 0 for _, b in out)
-    if lower != len(upper):
+    if len(real) + 2 * len(upper) != len(start):
         return None
-    return [r for r in out if not r[1]] + upper + [(a, -b) for a, b in upper]
+    return real + upper + [(a, -b) for a, b in upper]
 
 
 def _certify(coeffs: list[int], roots: list, width: int, tol: int) -> tuple[list, list] | None:
@@ -200,15 +206,20 @@ def _certify(coeffs: list[int], roots: list, width: int, tol: int) -> tuple[list
     axis then holds a real root, as p's roots come in conjugate pairs.  The
     radius d|w_i| 2^W is bounded above by r_i = isqrt(ceil(d^2 |N_i|^2 /
     |D_i|^2)) + 1, and disjointness is |x_i - x_j|^2 2^(2W) > (r_i + r_j)^2, all
-    in ints.  Returns the r_i, each at most tol, and the |N_i|^2; None when
-    two x_i coincide, two disks meet, or a radius exceeds tol.
+    in ints.  On x_i closed under conjugation, N and D at conj(x_i) are conj(N_i)
+    and conj(D_i), so a pair's one row gives both r and |N|^2, bit for bit.
+    Returns the r_i, each at most tol, and the |N_i|^2; None when two x_i
+    coincide, two disks meet, or a radius exceeds tol.
     """
     d = len(coeffs) - 1
     lead = coeffs[0]
     # the term of x^(d-j) in p(x) 2^(dW) carries 2^(jW)
     scaled = [c << (j * width) for j, c in enumerate(coeffs)][1:]
-    radii, norms = [], []
+    closed = sorted(roots) == sorted((a, -b) for a, b in roots)
+    found = {}  # (a, b), and (a, -b) if closed, -> (r, |N|^2)
     for i, (a, b) in enumerate(roots):
+        if (a, b) in found:
+            continue
         nr, ni = lead, 0
         for c in scaled:
             nr, ni = nr * a - ni * b + c, nr * b + ni * a
@@ -222,14 +233,14 @@ def _certify(coeffs: list[int], roots: list, width: int, tol: int) -> tuple[list
         radius = math.isqrt(-(-d * d * norm // den)) + 1
         if radius > tol:
             return None
-        radii.append(radius)
-        norms.append(norm)
+        found[a, b] = found[a, -b if closed else b] = radius, norm
+    radii = [found[a, b][0] for a, b in roots]
     for i, (a, b) in enumerate(roots):
         for j in range(i):
             c, e = roots[j]
             if (a - c) ** 2 + (b - e) ** 2 <= (radii[i] + radii[j]) ** 2:
                 return None
-    return radii, norms
+    return radii, [found[a, b][1] for a, b in roots]
 
 
 def poly_roots(k: int, l: int, precision_bits: int = DEFAULT_PRECISION) -> RootSet:

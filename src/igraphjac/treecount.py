@@ -104,10 +104,12 @@ def tree_count_chebyshev(p: GraphParams, precision_bits: int = DEFAULT_PRECISION
     bound e moves it by a relative e/|V_n(c) - 2|, and the root of R within
     the certified radius r of c by expm1(r (n - 1)/disk_gap(c, r)), as
     f(x) = (V_n(x) - 2)/(x - 2) = prod_{0<j<n} (x - 2 cos(2 pi j/n)) has
-    |f'/f| <= (n - 1)/dist(x, [-2, 2]).  With S the sum of both over the
-    roots, tau is within |F| S/(1 - S) of F; it is returned when that real
-    interval holds one integer and the imaginary part of F lies within the
-    bound, else PrecisionExhausted names the failed test.
+    |f'/f| <= (n - 1)/dist(x, [-2, 2]).  V_n is real, so conj(V_n(c)) is
+    within the same e of V_n(conj c): a conjugate pair takes one ladder.
+    With S the sum of both terms over the roots, tau is within |F| S/(1 - S)
+    of F; it is returned when that real interval holds one integer and the
+    imaginary part of F lies within the bound, else PrecisionExhausted names
+    the failed test.
     """
     rset = _quotient_roots(p.k, p.l, precision_bits)
     n, width = p.n, max(rset.width, precision_bits + 64 + 2 * p.n.bit_length())
@@ -115,10 +117,12 @@ def tree_count_chebyshev(p: GraphParams, precision_bits: int = DEFAULT_PRECISION
     unit, two = 1 << width, 2 << width
     # F's numerator ar + i ai (from sign n) and denominator dr + i di, and S at 2^-W
     ar, ai, dr, di, slack = -n if (n - 1) * (p.k + p.l) % 2 else n, 0, 1, 0, 0
+    ladders = {}  # the conjugates of the (xr, xi) run so far -> V_n and e there
     for (xr, xi), r in zip(rset.roots, rset.radii, strict=True):
         xr, xi, r = (v << (width - rset.width) for v in (xr, xi, r))
         gap = disk_gap(xr, xi, r, width)  # at most dist(x, [-2, 2]) on the disk
-        vr, vi, e = _lucas((xr, xi), n, width)
+        vr, vi, e = ladders[xr, xi] if (xr, xi) in ladders else _lucas((xr, xi), n, width)
+        ladders[xr, -xi] = vr, -vi, e
         vr -= two
         size = isqrt(vr * vr + vi * vi)  # at most |V_n(c) - 2|
         # a disk meeting [-2, 2], or V_n(c) - 2 cut to 0, fails the test S < 1

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 from math import gcd
 
@@ -158,14 +159,23 @@ class TestPolyRoots:
 
     @pytest.mark.parametrize("bits", [64, 128])
     def test_grid_certifies(self, monkeypatch, bits):
-        # every coprime cell k <= 15, l <= k + 7 certifies from the Lucas start
+        # every coprime cell k <= 15, l <= k + 7 certifies from the Lucas start,
+        # and each stored root below the axis is the exact conjugate of one
+        # above it, with the same radius
         forbid_polyroots(monkeypatch)
         cells = [(k, l) for k in range(1, 16) for l in range(k, k + 8) if gcd(k, l) == 1]
         assert len(cells) == 72
+        lower = 0
         for k, l in cells:
             rset = poly_roots(k, l, bits)
             assert len(rset.radii) == k + l - 1
             assert max(rset.radii) <= 1 << (rset.width - bits - GUARD_BITS), (k, l)
+            radius = dict(zip(rset.roots, rset.radii, strict=True))
+            for (a, b), r in radius.items():
+                if b < 0:
+                    assert radius.get((a, -b)) == r, (k, l)
+                    lower += 1
+        assert lower > len(cells)
 
     def test_unsettled_start_raises(self, monkeypatch):
         # one Aberth sweep leaves the start of R(5, 6) unsettled
@@ -196,6 +206,57 @@ class TestPolyRoots:
             guard = GUARD_BITS + max(abs(c) for c in coeffs).bit_length()
             assert got and len(got) == len(coeffs) - 1
             assert max(got) <= 2 ** (width - bits - guard)
+
+    @pytest.mark.parametrize("k,l,once", [(2, 3, 3), (5, 6, 6), (7, 9, 8)])
+    def test_one_polish_and_one_row_per_pair(self, monkeypatch, k, l, once):
+        # Newton reads each start it polishes with two ldexp calls, and each
+        # Weierstrass row of the certificate ends in one isqrt: one of each
+        # per real root and per conjugate pair (6, not 10, for R(5, 6))
+        newton = helpers.count_calls(monkeypatch, igraphjac.asymptotics, "_newton")
+        certify = helpers.count_calls(monkeypatch, igraphjac.asymptotics, "_certify")
+        rset = poly_roots(k, l, 64)
+        assert sum(b >= 0 for _, b in rset.roots) == once < k + l - 1
+        ldexp = helpers.count_calls(monkeypatch, mpmath, "ldexp")
+        isqrt = helpers.count_calls(monkeypatch, math, "isqrt")
+        roots = _newton(*newton[0])
+        assert len(ldexp) == 2 * once
+        radii, _ = _certify(*certify[0])
+        assert len(isqrt) == once
+        assert sorted(zip(roots, radii)) == list(zip(rset.roots, rset.radii))
+
+    def test_lower_start_without_partner_is_polished(self, monkeypatch):
+        # z^4 - 1: a start below the axis that mirrors one above is skipped,
+        # one with no partner within 2^-20 is polished, and both give the
+        # conjugate of the upper root; a lone start that lands on the real
+        # root 1 leaves the pair short
+        w, tol, coeffs = 160, 2**60, [1, 0, 0, 0, -1]
+        ldexp = helpers.count_calls(monkeypatch, mpmath, "ldexp")
+
+        def polish(*start):
+            del ldexp[:]
+            roots = _newton(coeffs, [mpmath.mpc(z) for z in start], w, tol)
+            return roots, len(ldexp) // 2
+
+        mirrored = polish(1.1, -0.9, 0.05 + 1.02j, 0.05 - 1.02j)
+        lone = polish(1.1, -0.9, 0.05 + 1.02j, 0.02 - 0.97j)
+        assert mirrored[1] == 3 and lone[1] == 4
+        assert mirrored[0] == lone[0] is not None
+        assert polish(1.1, -0.9, 0.05 + 1.02j, 0.9 - 0.05j) == (None, 4)
+
+    def test_set_not_closed_under_conjugation_is_certified_root_by_root(self, monkeypatch):
+        # R(2, 3)'s larger real root moved 2^-40 up leaves its conjugate pair
+        # in the set but the set not closed under conjugation: D at the
+        # pair's roots are then no conjugates, so each root takes its own
+        # Weierstrass row
+        certify = helpers.count_calls(monkeypatch, igraphjac.asymptotics, "_certify")
+        poly_roots(2, 3, 64)
+        coeffs, roots, width, _ = certify[0]
+        a, b = max(r for r in roots if not r[1])
+        moved = [r for r in roots if r != (a, b)] + [(a, b + (1 << (width - 40)))]
+        assert sum(1 for _, b in moved if b < 0) == 1
+        isqrt = helpers.count_calls(monkeypatch, math, "isqrt")
+        assert _certify(coeffs, moved, width, 1 << width) is not None
+        assert len(isqrt) == 4
 
     def test_double_root_raises(self, monkeypatch):
         # a polish that puts two roots of R(2, 3) on one point leaves a double

@@ -196,6 +196,29 @@ def test_chebyshev_roots_r_once_per_key(monkeypatch):
     assert calls == [(2, 3, 96), (2, 3, 128), (1, 2, 96)]
 
 
+@pytest.mark.parametrize("k,l,ladders", [(2, 3, 3), (3, 4, 4), (5, 6, 6)])
+def test_chebyshev_runs_one_ladder_per_pair(monkeypatch, k, l, ladders):
+    # R's non-real roots come in exact conjugate pairs and V_n has real
+    # coefficients, so one Lucas ladder serves each real root and each pair
+    calls = helpers.count_calls(monkeypatch, igraphjac.treecount, "_lucas")
+    p = GraphParams(40, k, l)
+    assert tree_count_chebyshev(p) == tree_count_resultant(p)
+    assert len(calls) == ladders < k + l - 1
+
+
+def test_chebyshev_moved_roots_run_root_by_root(monkeypatch):
+    # roots moved 2^-40 off the axis are not closed under conjugation, so
+    # each takes its own ladder (and the count's imaginary part is refused)
+    rset = igraphjac.treecount._quotient_roots(2, 3, 256)
+    up = 1 << (rset.width - 40)
+    moved = dataclasses.replace(rset, roots=tuple((a, b + up) for a, b in rset.roots))
+    monkeypatch.setattr(igraphjac.treecount, "_quotient_roots", lambda k, l, bits: moved)
+    calls = helpers.count_calls(monkeypatch, igraphjac.treecount, "_lucas")
+    with pytest.raises(PrecisionExhausted, match="imaginary part"):
+        tree_count_chebyshev(GraphParams(60, 2, 3))
+    assert len(calls) == 4
+
+
 def test_divisibility_and_cube_bound():
     for n in range(3, 30):
         p = normalize(n, 1, 2)
