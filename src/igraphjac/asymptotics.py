@@ -9,8 +9,8 @@ z = (x + sqrt(x^2 - 4))/2.  A equals the Mahler measure of the polynomial,
 so it can also be computed as exp of the average of log|P| over the unit
 circle; the two routes check each other.  The average is a periodic
 trapezoidal rule: by Jensen's formula dividing P by |1 - z|^2 leaves the
-mean unchanged and removes the zero at z = 1, so the rule converges
-geometrically, and its N-node product is (k^2 + l^2) tau(I(N, k, l)) / N.
+mean unchanged and removes the zero at z = 1, so the rule converges at a
+rate the roots prove, and its N-node product is (k^2 + l^2) tau(I(N, k, l)) / N.
 
 Roots come from a short Aberth iteration in complex floats on the paper's
 Lucas form of R, polished by Newton's method on scaled Python ints and then
@@ -19,14 +19,15 @@ that each polished root is within its radius, at most
 2^-(precision_bits + 64), of its own distinct root.  A root set whose start
 does not settle or that the certificate refuses raises ConvergenceFailure.
 As R is real, each conjugate pair is polished, certified and evaluated once.
-A RootSet keeps those ints, which the root product and the Chebyshev tree
-count both read, each bounding its error by disk_gap and the radii.
+A RootSet keeps those ints, which the root product, the integral's node
+count and the Chebyshev tree count read, each bounding its error by the radii.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -284,15 +285,16 @@ def disk_gap(a: int, b: int, radius: int, width: int) -> int:
     return math.isqrt(off * off + b * b) - radius
 
 
-def mahler_constant(k: int, l: int, precision_bits: int = DEFAULT_PRECISION) -> RealApprox:
+def mahler_constant(k: int, l: int, precision_bits: int = DEFAULT_PRECISION, roots=None) -> RealApprox:
     """Product of the roots of spectral_poly(k, l) outside the unit circle.
 
     A root x = z + 1/z of trace_poly(k, l) stands for the roots z, 1/z of
     spectral_poly, the outer one contributing q = max(|z|, 1/|z|); z = 1 is
     the root x = 2 divided out of R.  The parallelogram law on x and s =
     z - 1/z, s^2 = x^2 - 4, gives m = (|x|^2 + |x^2 - 4|)/2 = |z|^2 + |z|^-2,
-    so q^2 = (m + sqrt(m^2 - 4))/2: two isqrt calls on x's ints at 2^-W (the
-    RootSet's width) and no branch to choose; value is sqrt(prod q^2).
+    so q^2 = (m + sqrt(m^2 - 4))/2: two isqrt calls on x's ints at 2^-W, once
+    per conjugate pair (a, +-b) as they read |b| only, and no branch; value is
+    sqrt(prod q^2).  roots defaults to poly_roots(k, l, precision_bits).
 
     The bound is value (2 S + 2^-(precision_bits - 8)), S = sum rho/gap with
     rho a certified radius and gap its disk_gap: log q = |Re log z| moves
@@ -306,16 +308,18 @@ def mahler_constant(k: int, l: int, precision_bits: int = DEFAULT_PRECISION) -> 
     W >= precision_bits + 80, so the last term covers them and the final
     square root at precision_bits + 64 bits.
     """
-    rset = poly_roots(k, l, precision_bits)
+    rset = poly_roots(k, l, precision_bits) if roots is None else roots
     w, product, slack = rset.width, 1, 0  # slack is S at 2^-W, rounded up
-    for (a, b), radius in zip(rset.roots, rset.radii, strict=True):
+    for (a, b, radius), times in Counter(
+        (a, abs(b), r) for (a, b), r in zip(rset.roots, rset.radii, strict=True)
+    ).items():
         gap = disk_gap(a, b, radius, w)
-        slack += -((-radius << w) // gap) if gap > 0 else 1 << w
+        slack += times * (-((-radius << w) // gap) if gap > 0 else 1 << w)
         if 2 * slack > 1 << w:
             raise ClassificationFailure(f"a root disk nears [-2, 2] at {precision_bits} bits")
         re, im = a * a - b * b - (4 << 2 * w), 2 * a * b
         m = a * a + b * b + math.isqrt(re * re + im * im)  # 2 m at 2^-2W
-        product *= m + math.isqrt(m * m - (16 << 4 * w))  # 4 q^2 at 2^-2W
+        product *= (m + math.isqrt(m * m - (16 << 4 * w))) ** times  # 4 q^2 at 2^-2W
     with mp.workprec(precision_bits + 64):
         value = mpmath.sqrt(mpmath.ldexp(product, -len(rset.roots) * (2 * w + 2)))
         bound = value * (mpmath.ldexp(slack, 1 - w) + mpmath.ldexp(1, 8 - precision_bits))
@@ -375,7 +379,7 @@ def _node_product(k: int, l: int, n: int, q: list[int], scale: int, acc=(1, 0), 
     return man, exp - 2 * scale * len(nodes)
 
 
-def mahler_integral(k: int, l: int, precision_bits: int = DEFAULT_PRECISION) -> RealApprox:
+def mahler_integral(k: int, l: int, precision_bits: int = DEFAULT_PRECISION, roots=None) -> RealApprox:
     """exp of the mean of log|spectral_poly| over the unit circle.
 
     On the circle z = e^(2 pi i t) the polynomial is P(t) = u + v + uv with
@@ -392,60 +396,64 @@ def mahler_integral(k: int, l: int, precision_bits: int = DEFAULT_PRECISION) -> 
     to N^2, so they are divided out once, not per node; the nodes pair up as
     t and 1 - t, so only j < N/2 is evaluated and the half product squared.
 
+    N is set before any node from the roots (poly_roots(k, l, precision_bits)
+    unless given).  A pair z, 1/z, |z| = q, adds at most q^-m/m to the m-th
+    Fourier coefficient of f, and T_N - log A sums those at the nonzero
+    multiples of N, so over the d = k + l - 1 pairs |T_N - log A| <= tail =
+    2d/(N (rho^N - 1)) for rho <= each q.  x lies on the ellipse with foci
+    +-2 and semi-major axis q + 1/q, so a root within r of c has q + 1/q >=
+    (|c - 2| + |c + 2|)/2 - r: rho and rho^N are rounded down from the
+    roots' ints.  N is the first 2(k + l) 2^j with tail <= 2^-(precision_bits
+    - 8); past NODE_CAP it raises QuadratureFailure.  The value reads nothing
+    of the roots: a rho too large shows as a bound the root product refutes.
+
     The nodes run on Python ints in fixed point.  They read u and v from one
-    table of floor(4 sin^2(pi m/N) 2^W), 0 <= m <= N/2, with
-    W = precision_bits + 32 + 2 bit_length(N).  sinpi fills the table at
-    the first N and _halve_angles refines it at each doubling, so a node
-    costs three int multiplications, and the table takes about 60 bytes per
-    entry at 128 bits: 1.2 MB for the 41472 nodes of (40, 41).
+    table of floor(4 sin^2(pi m/N) 2^W), 0 <= m <= N/2, W = precision_bits +
+    32 + 2 bit_length(2(k + l)) + 2j.  sinpi fills it at 2(k + l), and each
+    doubling refines it by _halve_angles and adds only the new odd nodes, so
+    a node costs three int multiplications; the table takes about 60 bytes
+    per entry at 128 bits: 1.2 MB for the 41472 nodes of (40, 41).
 
     Error accounting: each floor costs at most 1 ulp at 2^W, which the
-    2 bit_length(N) term keeps under 2^-(precision_bits+32) of even the
+    2 bit_length term keeps under 2^-(precision_bits+32) of even the
     smallest chord, about (2 pi/N)^2.  A doubling adds a few such ulps to an
     entry, relative to itself, and a node cancels nothing, since u, v and
     uv are positive.  Cutting the product back to W + 8 bits costs under
     2^-(W+7) per node, so the product of at most NODE_CAP/2 nodes stays
     within 2^-(precision_bits+12) of the exact one, relative.  It becomes
-    an mpf once per level, for the log.
-
-    N starts at 2(k + l), and each doubling evaluates only the new odd
-    nodes.  It stops once |T_2N - T_N| <= 2^(-precision_bits/2) and that
-    difference has shrunk since the previous doubling; the bound is
-    value * (100 |T_2N - T_N| + 2^(-(precision_bits - 8))).  A rule that
-    would need more than NODE_CAP nodes raises QuadratureFailure.  The log
-    and exp work at precision_bits + 32, and nothing is shared with the
-    root product.
+    an mpf once, for one log and one exp at precision_bits + 32.  The bound
+    value (tail + 2^-(precision_bits - 8)) covers these and exp(e) - 1 - e.
     """
     check_steps(k, l)
     check_int("precision_bits", precision_bits, MIN_PRECISION)
-    n = 2 * (k + l)
-    scale = precision_bits + 32 + 2 * n.bit_length()
-    q = _chord_table(n, scale)
-    acc = _node_product(k, l, n, q, scale)
+    rset = poly_roots(k, l, precision_bits) if roots is None else roots
+    w, one = rset.width, 1 << rset.width
+    least = max(2 * one, min(  # at most each q + 1/q, at 2^-w
+        (math.isqrt((a - 2 * one) ** 2 + b * b) + math.isqrt((a + 2 * one) ** 2 + b * b)) // 2 - r
+        for (a, b), r in zip(rset.roots, rset.radii, strict=True)
+    ))
+    rho = (least + math.isqrt(least * least - (4 << 2 * w))) // 2  # at most each q
+    n = m = 2 * (k + l)
+    power = rho**n >> (n - 1) * w  # rho^n at 2^-w
+    if power <= one:
+        raise QuadratureFailure(f"a root disk meets [-2, 2] at {precision_bits} bits")
+    while n * (power - one) < (k + l - 1) << (precision_bits - 7 + w):
+        n, power = 2 * n, power * power >> w
+    if n > NODE_CAP:
+        raise QuadratureFailure(f"trapezoidal rule needs {n} nodes, over NODE_CAP = {NODE_CAP}")
+    scale = precision_bits + 32 + 2 * m.bit_length()
+    q = _chord_table(m, scale)
+    acc = _node_product(k, l, m, q, scale)
+    while m < n:
+        q, scale, m = _halve_angles(q, scale), scale + 2, 2 * m
+        acc = _node_product(k, l, m, q, scale, acc, step=2)
     with mp.workprec(precision_bits + 32):
         # node t = 0 contributes k^2 + l^2, node t = 1/2 contributes P(-1) / 4;
         # for even n the s factors over 0 < j < n/2 multiply to n/2
         ends = (k * k + l * l) * (6 if k % 2 and l % 2 else 1)
-        prev = mpmath.log(ends * (mp.mpf(acc) / (n // 2)) ** 2) / n
-        tolerance = mp.mpf(2) ** (-(precision_bits // 2))
-        last = None
-        while True:
-            if 2 * n > NODE_CAP:
-                raise QuadratureFailure(
-                    f"trapezoidal rule not within {mpmath.nstr(tolerance, 5)} "
-                    f"at {n} nodes, and NODE_CAP = {NODE_CAP} allows no doubling"
-                )
-            q = _halve_angles(q, scale)
-            scale += 2
-            n *= 2
-            acc = _node_product(k, l, n, q, scale, acc, step=2)
-            mean = mpmath.log(ends * (mp.mpf(acc) / (n // 2)) ** 2) / n
-            diff = abs(mean - prev)
-            if diff <= tolerance and last is not None and diff < last:
-                break
-            prev, last = mean, diff
-        value = mpmath.exp(mean)
-        bound = value * (100 * diff + mp.mpf(2) ** (-(precision_bits - 8)))
+        value = mpmath.exp(mpmath.log(ends * (mp.mpf(acc) / (n // 2)) ** 2) / n)
+        tail = mp.mpf(2 * (k + l - 1) << w) / (n * (power - one))
+        bound = value * (tail + mp.mpf(2) ** (-(precision_bits - 8)))
     return RealApprox(value, bound)
 
 

@@ -41,6 +41,7 @@ from .asymptotics import (
     asymptotic_ratio,
     mahler_constant,
     mahler_integral,
+    poly_roots,
 )
 from .errors import (
     ClassificationFailure,
@@ -223,8 +224,9 @@ def cmd_asymptotic(args) -> int:
     p = None if args.ratio_at is None else normalize(args.ratio_at, k, l)
     if p is not None and (p.k, p.l) != tuple(sorted((k, l))):
         raise InvalidParams(f"--ratio-at {args.ratio_at} reduces I({p.n},{k},{l}) to {p}")
-    root = mahler_constant(k, l, precision_bits=args.precision)
-    integral = mahler_integral(k, l, precision_bits=args.precision)
+    roots = poly_roots(k, l, args.precision)
+    root = mahler_constant(k, l, args.precision, roots)
+    integral = mahler_integral(k, l, args.precision, roots)
     diff = abs(root.value - integral.value)
     agree = bool(diff <= root.error_bound + integral.error_bound)
     rec = {

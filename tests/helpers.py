@@ -14,13 +14,16 @@ none.  The one exception is tree_count_q_ring, the former large-n count:
 it runs the package's ring kernel over Z[z]/(Q), Q = P/(z - 1)^2, twice the
 size of the Z[x]/(R) the package now uses.  mahler_integral_mpf is the
 Mahler integral's trapezoidal rule with its chord table and node product
-in mpmath floats, where the package runs them on scaled ints.  Slow is
-fine; these only certify.  sixfold_rule_report is the diagnostic that tallies square
-decompositions by parity, count_calls counts the calls a test pins, and
-as_mpc reads a RootSet's fixed-point roots as mpmath numbers.
+in mpmath floats, where the package runs them on scaled ints, and its node
+count from mpmath.polyroots, where the package reads its certified roots.
+Slow is fine; these only certify.  sixfold_rule_report is the diagnostic
+that tallies square decompositions by parity, count_calls counts the calls
+a test pins, and as_mpc reads a RootSet's fixed-point roots as mpmath
+numbers.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 import mpmath
@@ -198,31 +201,40 @@ def node_product_mpf(k, l, n, q, step=1):
     return acc
 
 
+@lru_cache(maxsize=None)
+def least_outer_modulus(k, l):
+    """The least |z| >= 1 over the roots z, 1/z of spectral_poly(k, l) but z = 1.
+
+    From mpmath.polyroots on chebyshev_quotient, in w = (z + 1/z)/2, at 128
+    bits: z = w + sqrt(w^2 - 1).
+    """
+    with mpmath.workprec(128):
+        ws = mpmath.polyroots(chebyshev_quotient(k, l)[::-1], maxsteps=200, extraprec=128)
+        return min(max(abs(z), 1 / abs(z)) for z in (w + mpmath.sqrt(w * w - 1) for w in ws))
+
+
 def mahler_integral_mpf(k, l, precision_bits):
     """(value, bound) of mahler_integral's rule with its table and nodes in mpf.
 
-    Same nodes, stopping rule and bound as the package, all at
-    precision_bits + 32; no node cap.
+    The same node count, the first of 2(k + l) 2^j whose tail
+    2d/(N (q^N - 1)), d = k + l - 1, is at most 2^-(precision_bits - 8), with
+    q from least_outer_modulus rather than the package's certified roots;
+    the same nodes and bound, all at precision_bits + 32; no node cap.
     """
     with mpmath.workprec(precision_bits + 32):
         ends = (k * k + l * l) * (6 if k % 2 and l % 2 else 1)
+        q_outer = least_outer_modulus(k, l)
+        floor = mpmath.mpf(2) ** (-(precision_bits - 8))
         n = 2 * (k + l)
+        tail = lambda n: 2 * (k + l - 1) / (n * (q_outer**n - 1))  # noqa: E731
         q = chord_table_mpf(n)
         half = node_product_mpf(k, l, n, q) / (n // 2)
-        prev = mpmath.log(ends * half**2) / n
-        tolerance = mpmath.mpf(2) ** (-(precision_bits // 2))
-        last = None
-        while True:
+        while tail(n) > floor:
             q = halve_angles_mpf(q)
             half *= node_product_mpf(k, l, 2 * n, q, step=2) / 2
             n *= 2
-            mean = mpmath.log(ends * half**2) / n
-            diff = abs(mean - prev)
-            if diff <= tolerance and last is not None and diff < last:
-                break
-            prev, last = mean, diff
-        value = mpmath.exp(mean)
-        return value, value * (100 * diff + mpmath.mpf(2) ** (-(precision_bits - 8)))
+        value = mpmath.exp(mpmath.log(ends * half**2) / n)
+        return value, value * (tail(n) + floor)
 
 
 def igraph_edge_list(n, k, l):
@@ -625,13 +637,16 @@ def as_mpc(rset):
 
 
 def count_calls(monkeypatch, module, name) -> list:
-    """Wrap module.name for the test; the returned list grows by one per call."""
+    """Wrap module.name for the test; the returned list grows by one per call.
+
+    Each entry is the call's positional arguments.
+    """
     calls = []
     original = getattr(module, name)
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls.append(args)
-        return original(*args)
+        return original(*args, **kwargs)
 
     monkeypatch.setattr(module, name, counted)
     return calls

@@ -440,6 +440,34 @@ class TestMahlerConstant:
         with pytest.raises(ConvergenceFailure, match="no certified roots of degree 2"):
             mahler_constant(1, 2)
 
+    @pytest.mark.parametrize("k,l,once", [(2, 3, 3), (5, 6, 6), (7, 9, 8)])
+    def test_one_factor_per_pair(self, monkeypatch, k, l, once):
+        # disk_gap's isqrt and the two of q^2 run once per real root and per
+        # conjugate pair; the pair's factor, squared, and its slack, doubled,
+        # leave the value and bound those of a pass over every root
+        rset = poly_roots(k, l, 64)
+        isqrt = helpers.count_calls(monkeypatch, math, "isqrt")
+        got = mahler_constant(k, l, 64, rset)
+        assert len(isqrt) == 3 * once
+        monkeypatch.undo()
+        w, product, slack = rset.width, 1, 0
+        for (a, b), radius in zip(rset.roots, rset.radii):
+            slack += -((-radius << w) // disk_gap(a, b, radius, w))
+            re, im = a * a - b * b - (4 << 2 * w), 2 * a * b
+            m = a * a + b * b + math.isqrt(re * re + im * im)
+            product *= m + math.isqrt(m * m - (16 << 4 * w))
+        with mpmath.workprec(128):
+            value = mpmath.sqrt(mpmath.ldexp(product, -len(rset.roots) * (2 * w + 2)))
+            bound = value * (mpmath.ldexp(slack, 1 - w) + mpmath.ldexp(1, -56))
+        assert (got.value, got.error_bound) == (value, bound)
+
+    def test_given_roots_are_not_rooted_again(self, monkeypatch):
+        rset = poly_roots(2, 3, 64)
+        calls = helpers.count_calls(monkeypatch, igraphjac.asymptotics, "poly_roots")
+        assert mahler_constant(2, 3, 64, rset) == mahler_constant(2, 3, 64)
+        assert mahler_integral(2, 3, 64, rset) == mahler_integral(2, 3, 64)
+        assert len(calls) == 2
+
     def test_quotient_root_correspondence(self):
         # outside roots map to Q's roots through w = (z + 1/z) / 2 and to
         # R's through x = 2w, the correspondence mahler_constant inverts
@@ -575,6 +603,83 @@ class TestMahlerIntegral:
         monkeypatch.setattr(igraphjac.asymptotics, "NODE_CAP", 64)
         with pytest.raises(QuadratureFailure):
             mahler_integral(5, 6, precision_bits=64)
+
+    @pytest.mark.parametrize("bits", [64, 128])
+    @pytest.mark.parametrize("k,l", [(1, 1), (1, 2), (2, 3), (5, 6), (20, 21)])
+    def test_node_count_is_proved_and_least(self, monkeypatch, k, l, bits):
+        # the tail 2d/(N (rho^N - 1)) the bound carries covers |T_N - log A|,
+        # both taken at twice the bits; N is the first of 2(k + l) 2^j whose tail
+        # meets 2^-(bits - 8), even with rho the least outer modulus of an
+        # mpmath.polyroots oracle; the bound is within 2^-(bits - 10)
+        nodes = helpers.count_calls(monkeypatch, igraphjac.asymptotics, "_node_product")
+        rset = poly_roots(k, l, bits)
+        got = mahler_integral(k, l, bits, rset)
+        n = nodes[-1][2]
+        root = mahler_constant(k, l, bits, rset)
+        fine = mahler_constant(k, l, 2 * bits)
+        with mpmath.workprec(2 * bits):
+            floor = mpmath.mpf(2) ** -(bits - 8)
+            tail = got.error_bound / got.value - floor
+            ends = (k * k + l * l) * (6 if k % 2 and l % 2 else 1)
+            half = helpers.node_product_mpf(k, l, n, helpers.chord_table_mpf(n)) / (n // 2)
+            error = abs(mpmath.log(ends * half**2) / n - mpmath.log(fine.value))
+            assert error <= tail + 2 * fine.error_bound / fine.value
+            assert 0 < tail <= floor * (1 + mpmath.mpf(2) ** -20)
+            q, m = helpers.least_outer_modulus(k, l), n // 2
+            assert n == 2 * (k + l) or 2 * (k + l - 1) / (m * (q**m - 1)) > floor
+            assert got.error_bound <= got.value * 4 * floor
+        assert abs(got.value - root.value) <= got.error_bound + root.error_bound
+
+    @pytest.mark.parametrize("radius", ["0", "1.5"])
+    def test_node_count_reads_the_root_disks(self, monkeypatch, radius):
+        # x = +-3i: |x - 2| + |x + 2| = 2 sqrt(13), so q + 1/q >= sqrt(13) - r
+        # on a disk of radius r and rho = (L + sqrt(L^2 - 4))/2; N and the
+        # bound's tail follow that rho, not the disk centres
+        w, bits = 64, 64
+        r = int(mpmath.ldexp(mpmath.mpf(radius), w))
+        rset = RootSet(w, ((0, -3 << w), (0, 3 << w)), (r, r), mpmath.mpf(0))
+        nodes = helpers.count_calls(monkeypatch, igraphjac.asymptotics, "_node_product")
+        got = mahler_integral(1, 2, bits, rset)
+        with mpmath.workprec(128):
+            big = mpmath.sqrt(13) - mpmath.ldexp(r, -w)
+            rho = (big + mpmath.sqrt(big * big - 4)) / 2
+            floor, n = mpmath.mpf(2) ** -(bits - 8), 6
+            while 4 / (n * (rho**n - 1)) > floor:
+                n *= 2
+            assert nodes[-1][2] == n == (192 if r else 48)
+            tail = got.error_bound / got.value - floor
+            assert abs(tail / (4 / (n * (rho**n - 1))) - 1) < mpmath.mpf(2) ** -30
+
+    def test_disk_meeting_the_segment_raises(self, monkeypatch):
+        # a disk reaching [-2, 2] leaves rho = 1, which proves no node count
+        w = 64
+        rset = RootSet(w, ((3 << w, 0), ((2 << w) + 5, 0)), (0, 5), mpmath.mpf(0))
+        nodes = helpers.count_calls(monkeypatch, igraphjac.asymptotics, "_node_product")
+        with pytest.raises(QuadratureFailure, match="a root disk meets"):
+            mahler_integral(1, 2, 64, rset)
+        assert nodes == []
+
+    def test_node_cap_breach_raises_before_any_node(self, monkeypatch):
+        monkeypatch.setattr(igraphjac.asymptotics, "NODE_CAP", 64)
+        nodes = helpers.count_calls(monkeypatch, igraphjac.asymptotics, "_node_product")
+        with pytest.raises(QuadratureFailure, match="needs 352 nodes"):
+            mahler_integral(5, 6, precision_bits=64)
+        assert nodes == []
+
+    def test_value_reads_roots_only_through_the_node_count(self, monkeypatch):
+        # roots placing rho too far out stop the rule at 2(k + l) = 6 nodes
+        # with a bound too small, so the routes visibly disagree; roots
+        # placing it near 1 (x = 2.0001, q ~ 1.01) only add nodes
+        w = 64
+        root = mahler_constant(1, 2, 64)
+        far = RootSet(w, ((1000 << w, 0),), (0,), mpmath.mpf(0))
+        short = mahler_integral(1, 2, 64, far)
+        assert abs(short.value - root.value) > short.error_bound + root.error_bound
+        near = RootSet(w, (((2 << w) + (1 << w) // 10000, 0),), (0,), mpmath.mpf(0))
+        nodes = helpers.count_calls(monkeypatch, igraphjac.asymptotics, "_node_product")
+        slow = mahler_integral(1, 2, 64, near)
+        assert nodes[-1][2] == 6144
+        assert abs(slow.value - root.value) <= slow.error_bound + root.error_bound
 
 
 class TestAsymptoticRatio:

@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+import igraphjac.asymptotics
 import igraphjac.jacobian
 from igraphjac import DENSE_CEILING, cli, treecount, jacobian_via_laplacian, tree_count_kirchhoff
 from igraphjac.errors import InternalInconsistency
@@ -267,6 +268,19 @@ class TestTreesCommand:
         assert records[0]["tau"] == "312061332000250000"
 
 
+# (k, l, bits) -> the integral and its bound as `asymptotic --json` prints
+# them with the node count proved from the certified roots
+INTEGRALS_PROVED = {
+    (1, 1, 96): ("3.7320508075688772935274463", "1.2059e-26"),
+    (1, 2, 64): ("4.390256884515514", "6.1056e-17"),
+    (1, 2, 128): ("4.39025688451551360466360009793798007", "3.3482e-36"),
+    (1, 2, 208): ("4.39025688451551360466360009793798006863952482817475390974634", "2.7321e-60"),
+    (2, 3, 64): ("4.841992943028164", "6.72e-17"),
+    (2, 3, 128): ("4.84199294302816391024021354567408772", "3.6427e-36"),
+    (5, 6, 64): ("5.120150620086312", "7.1075e-17"),
+}
+
+
 class TestAsymptoticCommand:
     def test_routes_agree(self, capsys):
         code, records = run_json_lines(
@@ -317,10 +331,33 @@ class TestAsymptoticCommand:
     )
     def test_growth_grid_records_are_pinned(self, capsys, k, l, bits, line):
         # the benchmark's growth-grid cells, byte for byte as the mpf
-        # quadrature kernel printed them
+        # quadrature kernel printed them (line) but for the integral, whose
+        # node count proved from the roots prints it as INTEGRALS_PROVED pins,
+        # to more digits under a tighter bound
         argv = ["asymptotic", "--k", str(k), "--l", str(l), "--precision", str(bits), "--json"]
         assert main(argv) == EXIT_OK
-        assert capsys.readouterr().out == line + "\n"
+        printed = json.loads(line)
+        integral, bound = INTEGRALS_PROVED[k, l, bits]
+        assert float(bound) < float(printed["integral_error_bound"])
+        want = json.dumps(dict(printed, integral=integral, integral_error_bound=bound))
+        assert capsys.readouterr().out == want + "\n"
+
+    def test_roots_once_and_one_integral_per_record(self, capsys, monkeypatch):
+        # the root product and the integral's node count share one root set
+        roots = [
+            helpers.count_calls(monkeypatch, module, "poly_roots")
+            for module in (cli, igraphjac.asymptotics, treecount)
+        ]
+        constants = helpers.count_calls(monkeypatch, cli, "mahler_constant")
+        integrals = helpers.count_calls(monkeypatch, cli, "mahler_integral")
+        for k, l, bits in [(1, 2, 64), (5, 6, 64), (2, 3, 128)]:
+            argv = ["asymptotic", "--k", str(k), "--l", str(l), "--precision", str(bits), "--json"]
+            code, (rec,) = run_json_lines(capsys, argv)
+            assert code == EXIT_OK and rec["agree"] is True
+            assert [calls[-1] for calls in roots if calls] == [(k, l, bits)]
+            assert [len(calls) for calls in roots] == [len(integrals), 0, 0]
+            assert integrals[-1][:3] == (k, l, bits)
+            assert integrals[-1][3] is constants[-1][3] is not None
 
     def test_integral_digits_follow_precision(self, capsys):
         # the integral's bound follows --precision: 32 bits justify a few digits
